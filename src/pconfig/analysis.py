@@ -28,16 +28,17 @@ though the underlying dynamical systems are intertwined by the computed h.
 from __future__ import annotations
 
 import io
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import funcspace
-from .conjugacy import DEFAULT_GRID, DEFAULT_TOL, conjugate_to_standard
+from .conjugacy import DEFAULT_GRID, DEFAULT_TOL, Word, conjugate, orbit_oracle
 from .errors import BadSpec, BuildFailure, DyadicCheckFailure, ScaleBelowGrid
 from .families import MapPair, flat_interval, perturbed_flat_pair
 from .funcspace import MonotoneFunction
+from .report import Report
 
 
 # --------------------------------------------------------------------------
@@ -45,7 +46,7 @@ from .funcspace import MonotoneFunction
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuotientProbe:
+class QuotientProbe(Report):
     """One-sided difference quotients of f at an endpoint, over dyadic
     scales 2^-k, with successive ratios and the log-log fitted exponent."""
 
@@ -57,21 +58,6 @@ class QuotientProbe:
     ratios: tuple
     holder_exponent: float
     grid_size: int
-
-    def to_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "side": self.side,
-            "k_values": list(self.k_values),
-            "scales": list(self.scales),
-            "quotients": list(self.quotients),
-            "ratios": list(self.ratios),
-            "holder_exponent": self.holder_exponent,
-            "grid_size": self.grid_size,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def to_csv(self) -> str:
         """Rows ``k,step,quotient,ratio``; the ratio on row k compares
@@ -150,37 +136,16 @@ def holder_estimate(f: MonotoneFunction, t0: float,
 # solver-independent oracle enclosure of endpoint quotients
 # --------------------------------------------------------------------------
 
-def _abscissa_of_dyadic(pair: MapPair, y: float, max_depth: int = 60) -> float:
-    """The point x with h(x) = y for dyadic y, via the branch address.
-
-    Walk y back through the standard maps to an anchor, recording the
-    branch word, then push the anchor forward through `pair`.  All
-    standard-side steps are exact in floats for dyadic y.
-    """
-    branches = []
-    while y not in (-1.0, 0.0, 1.0):
-        if y > 0.0:
-            branches.append(1)
-            y = 2.0 * y - 1.0
-        else:
-            branches.append(2)
-            y = 2.0 * y + 1.0
-        if len(branches) > max_depth:
-            raise ValueError("y is not dyadic at the requested depth")
-    x = y
-    for b in reversed(branches):
-        x = float(pair.delta1(x)) if b == 1 else float(pair.delta2(x))
-    return x
-
-
 @dataclass(frozen=True)
-class QuotientEnclosure:
+class QuotientEnclosure(Report):
     """Rigorous per-scale bounds on endpoint difference quotients.
 
     Bounds come from monotone bracketing between exact orbit points whose
     conjugation values are dyadics of denominator 2^depth; no solver
     output is involved.  ``ratio_bounds[i]`` encloses
-    quotient(k+1)/quotient(k).
+    quotient(k+1)/quotient(k).  A query closer to t0 than the first inward
+    orbit point gets the lower quotient bound 0, and the ratios over it
+    the upper bound inf: valid, but uninformative.
     """
 
     t0: float
@@ -196,20 +161,15 @@ class QuotientEnclosure:
         return (lo, hi)
 
     def geometric_mean_ratio_bounds(self) -> tuple:
-        q_first = self.quotient_bounds[0]
-        q_last = self.quotient_bounds[-1]
+        lo, hi = _ratio_bounds(self.quotient_bounds[-1], self.quotient_bounds[0])
         n = len(self.k_values) - 1
-        return ((q_last[0] / q_first[1]) ** (1.0 / n),
-                (q_last[1] / q_first[0]) ** (1.0 / n))
+        return (lo ** (1.0 / n), hi ** (1.0 / n))
 
-    def to_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "k_values": list(self.k_values),
-            "quotient_bounds": [list(b) for b in self.quotient_bounds],
-            "ratio_bounds": [list(b) for b in self.ratio_bounds],
-            "depth": self.depth,
-        }
+
+def _ratio_bounds(num: tuple, den: tuple) -> tuple:
+    """Bounds on num/den from bounds on both; a lower bound of 0 on the
+    denominator leaves the ratio unbounded above."""
+    return (num[0] / den[1], num[1] / den[0] if den[0] > 0.0 else math.inf)
 
 
 def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
@@ -231,7 +191,8 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
 
     def absc(j):
         # j-th dyadic step inward from the endpoint, pushed to the orbit
-        return _abscissa_of_dyadic(pair, t0 + sign * j * eps, max_depth=depth)
+        word = Word.from_dyadic(t0 + sign * j * eps, max_len=depth)
+        return orbit_oracle(pair, word)[0]
 
     def inward(x):
         # distance from the endpoint toward the interior
@@ -257,7 +218,7 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
         q_bounds.append((lo_j * eps / s, hi_j * eps / s))
 
     r_bounds = tuple(
-        (q_bounds[i + 1][0] / q_bounds[i][1], q_bounds[i + 1][1] / q_bounds[i][0])
+        _ratio_bounds(q_bounds[i + 1], q_bounds[i])
         for i in range(len(q_bounds) - 1)
     )
     return QuotientEnclosure(
@@ -274,7 +235,7 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DyadicCheckTable:
+class DyadicCheckTable(Report):
     """Deviations |h(1 - 2^-m) - (1 - 2^-m)| for m = 1..m_max.
 
     ``resolved[i]`` is False when 2^-m is finer than the local node gap,
@@ -293,15 +254,6 @@ class DyadicCheckTable:
     def max_resolved_deviation(self) -> float:
         devs = [d for d, r in zip(self.deviations, self.resolved) if r]
         return max(devs) if devs else float("nan")
-
-    def to_dict(self) -> dict:
-        return {
-            "m_values": list(self.m_values),
-            "points": list(self.points),
-            "deviations": list(self.deviations),
-            "resolved": list(self.resolved),
-            "orbit_agrees": self.orbit_agrees,
-        }
 
 
 def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
@@ -335,7 +287,7 @@ def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Report):
     """Evidence that two flat-point configurations are non-isomorphic as
     guided systems.
 
@@ -363,29 +315,6 @@ class ExperimentReport:
     grid: int
     tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "flat_point_n": self.flat_point_n,
-            "flat_point_k": self.flat_point_k,
-            "cell_n": list(self.cell_n),
-            "cell_k": list(self.cell_k),
-            "image_of_flat_point": self.image_of_flat_point,
-            "image_in_cell_n": self.image_in_cell_n,
-            "flat_point_k_in_cell_k": self.flat_point_k_in_cell_k,
-            "cells_interior_disjoint": self.cells_interior_disjoint,
-            "dyadic_table": self.dyadic_table.to_dict(),
-            "max_dyadic_deviation": self.max_dyadic_deviation,
-            "homeomorphism_ok": self.homeomorphism_ok,
-            "verdict": self.verdict,
-            "grid": self.grid,
-            "tol": self.tol,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def nonregular_experiment(n: int, k: int, shape: dict | None = None,
                           grid: int = DEFAULT_GRID, tol: float = 1e-3,
@@ -408,6 +337,9 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
         If the flat-point families cannot be built with `shape`.
     DyadicCheckFailure
         If a dyadic point drifts beyond `tol` (solver misconfiguration).
+    NotInvertible
+        If the conjugation of the second pair to the standard pair has a
+        plateau at grid resolution.
     """
     if n == k:
         raise ValueError("need two distinct cells: n != k")
@@ -419,10 +351,7 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
     except BadSpec as exc:
         raise BuildFailure(str(exc)) from exc
 
-    h_n, _ = conjugate_to_standard(pair_n, grid=grid, tol=solver_tol)
-    h_k, _ = conjugate_to_standard(pair_k, grid=grid, tol=solver_tol)
-    inv_k = funcspace.invert(h_k, resample=False)
-    h = funcspace.compose(inv_k, h_n)
+    h = conjugate(pair_n, pair_k, grid=grid, tol=solver_tol)
 
     table = dyadic_fixed_point_check(h, pair_n, m_max=m_max)
     max_dev = max(table.deviations)
@@ -438,9 +367,9 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
     image_in_cell = cell_n[0] <= h_lam <= cell_n[1]
     omega_interior = cell_k[0] < omega_pt < cell_k[1]
     disjoint = min(cell_n[1], cell_k[1]) <= max(cell_n[0], cell_k[0])
-    homeo = (h.is_strictly_increasing()
-             and h_n.is_strictly_increasing()
-             and h_k.is_strictly_increasing())
+    # a plateau of h_k stops the inversion inside conjugate, and one of
+    # h_n survives the composition, so checking h covers both factors
+    homeo = h.is_strictly_increasing()
 
     conclusive = image_in_cell and omega_interior and disjoint
     return ExperimentReport(

@@ -22,7 +22,6 @@ differentiability guarantee (:func:`induced_system`).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -33,10 +32,11 @@ from .conjugacy import DEFAULT_GRID, DEFAULT_TOL, conjugate, conjugate_to_standa
 from .errors import AnchorsNotFixed, DegenerateChoice, InvalidPair, NotStrictlyIncreasing
 from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
 from .funcspace import MonotoneFunction
+from .report import Report
 
 
 @dataclass(frozen=True)
-class SolutionCertificate:
+class SolutionCertificate(Report):
     """A produced solution together with its measured quality.
 
     ``fe_residual`` is the grid supremum of |f - f o delta1 - f o delta2|;
@@ -56,20 +56,13 @@ class SolutionCertificate:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "fe_residual": self.fe_residual,
-            "nonlinearity_gap": self.nonlinearity_gap,
-            "source": self.source,
-            "target": self.target,
-            "grid": self.grid,
-            "tol": self.tol,
-            "degenerate": self.degenerate,
-            "solution_nodes": self.solution.grid_size,
-            "solution_max_local_variation": self.solution.max_local_variation,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """The fields without the sampled solution, which gets its own CSV;
+        its node count and largest value step stand in for it."""
+        out = super().to_dict()
+        del out["solution"]
+        out["solution_nodes"] = self.solution.grid_size
+        out["solution_max_local_variation"] = self.solution.max_local_variation
+        return out
 
 
 def fe_residual(f, pair: MapPair, grid: int = DEFAULT_GRID) -> float:
@@ -180,7 +173,7 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InducedSystemReport:
+class InducedSystemReport(Report):
     """Verification of the system induced by a solution.
 
     The induced maps satisfy additivity and the boundary pattern within
@@ -196,20 +189,6 @@ class InducedSystemReport:
     tol: float
     grid: int
     differentiability_claimed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "additivity_max_dev": self.additivity_max_dev,
-            "additivity_ok": self.additivity_ok,
-            "boundary_deviations": self.boundary_deviations,
-            "boundary_ok": self.boundary_ok,
-            "tol": self.tol,
-            "grid": self.grid,
-            "differentiability_claimed": self.differentiability_claimed,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def induced_system(f: MonotoneFunction, pair: MapPair,

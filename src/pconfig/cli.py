@@ -47,19 +47,22 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """The parsed arguments of one run.  The defaults live in the parser;
+    options a subcommand does not take stay None."""
+
     command: str
     descriptor: dict | None
-    grid: int = 4097
-    tol: float = 1e-10
-    max_iter: int = 200
-    out: Path = Path(".")
+    grid: int
+    tol: float
+    max_iter: int
+    out: Path
     target: str | None = None
-    t0: float = 1.0
-    k_min: int = 4
-    k_max: int = 10
-    n: int = 2
-    k: int = 3
-    m_max: int = 8
+    t0: float | None = None
+    k_min: int | None = None
+    k_max: int | None = None
+    n: int | None = None
+    k: int | None = None
+    m_max: int | None = None
     allow_degenerate: bool = False
     h_csv: Path | None = None
 
@@ -156,7 +159,7 @@ def cmd_conjugate(cfg: RunConfig) -> int:
         h, log = conjugacy.conjugate_to_standard(
             source, grid=cfg.grid, tol=cfg.tol, max_iter=cfg.max_iter)
         if target is not None and target.family != "standard":
-            h = conjugacy.conjugate(source, target, grid=cfg.grid, tol=cfg.tol)
+            h = conjugacy.retarget(h, target, grid=cfg.grid, tol=cfg.tol)
     except MaxIterExceeded as exc:
         if exc.log is not None:
             _atomic_write(cfg.out / "convergence.json", exc.log.to_json() + "\n")
@@ -272,12 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    opts = vars(args)
+    h_csv = opts.get("h_csv")
     descriptor = None
-    if args.command in ("validate", "conjugate", "solve-fe"):
+    if args.command != "nonregular" and h_csv is None:
         descriptor = _load_descriptor(args.config)
-    elif args.command == "probe" and getattr(args, "h_csv", None) is None:
-        descriptor = _load_descriptor(args.config)
-    k_min, k_max = _parse_scales(getattr(args, "scales", "4:10"))
+    k_min, k_max = _parse_scales(args.scales) if "scales" in opts else (None, None)
     return RunConfig(
         command=args.command,
         descriptor=descriptor,
@@ -285,15 +288,15 @@ def _config_from_args(args) -> RunConfig:
         tol=args.tol,
         max_iter=args.max_iter,
         out=Path(args.out),
-        target=getattr(args, "target", None),
-        t0=getattr(args, "t0", 1.0),
+        target=opts.get("target"),
+        t0=opts.get("t0"),
         k_min=k_min,
         k_max=k_max,
-        n=getattr(args, "n", 2),
-        k=getattr(args, "k", 3),
-        m_max=getattr(args, "m_max", 8),
-        allow_degenerate=getattr(args, "allow_degenerate", False),
-        h_csv=Path(args.h_csv) if getattr(args, "h_csv", None) else None,
+        n=opts.get("n"),
+        k=opts.get("k"),
+        m_max=opts.get("m_max"),
+        allow_degenerate=opts.get("allow_degenerate", False),
+        h_csv=Path(h_csv) if h_csv else None,
     )
 
 

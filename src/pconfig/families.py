@@ -35,13 +35,14 @@ Families provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import BadSpec
+from .report import Report
 
 ANCHORS = (-1.0, 0.0, 1.0)
 
@@ -356,7 +357,7 @@ def pairs_agree_on_grid(a: MapPair, b: MapPair, grid: int = DEFAULT_VALIDATION_G
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SetApprox:
+class SetApprox(Report):
     """Grid approximation of a guiding set (zero set of a branch derivative).
 
     ``intervals`` are maximal closed grid intervals on which the derivative
@@ -374,16 +375,9 @@ class SetApprox:
     def is_empty(self) -> bool:
         return not self.intervals and not self.exact_points
 
-    def to_dict(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "singleton_flags": list(self.singleton_flags),
-            "exact_points": list(self.exact_points),
-        }
-
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Report):
     """Outcome of the axiom checks for a map pair.
 
     ``classification`` is one of ``"regular"``, ``"quasi-regular"``,
@@ -407,29 +401,6 @@ class ValidationReport:
     guiding_set_1: SetApprox
     guiding_set_2: SetApprox
     classification: str = field(default="invalid")
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "mode": self.mode,
-            "grid": self.grid,
-            "tol": self.tol,
-            "flat_tol": self.flat_tol,
-            "additivity_ok": self.additivity_ok,
-            "additivity_max_dev": self.additivity_max_dev,
-            "derivative_nonneg_ok": self.derivative_nonneg_ok,
-            "derivative_min_1": self.derivative_min_1,
-            "derivative_min_2": self.derivative_min_2,
-            "boundary_ok": self.boundary_ok,
-            "boundary_values": self.boundary_values,
-            "rho": self.rho,
-            "guiding_set_1": self.guiding_set_1.to_dict(),
-            "guiding_set_2": self.guiding_set_2.to_dict(),
-            "classification": self.classification,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def guiding_sets(pair: MapPair, flat_tol: float = FLAT_TOL,
@@ -507,7 +478,7 @@ def validate(pair: MapPair, mode: str = "full",
     rho = float(np.max(np.maximum(d1v, d2v)))
     g1, g2 = guiding_sets(pair, flat_tol=flat_tol, grid=grid)
 
-    return ValidationReport(
+    report = ValidationReport(
         family=pair.descriptor(),
         mode=mode,
         grid=int(grid),
@@ -523,19 +494,8 @@ def validate(pair: MapPair, mode: str = "full",
         rho=rho,
         guiding_set_1=g1,
         guiding_set_2=g2,
-        classification=_classify(additivity_ok, derivative_ok, boundary_ok,
-                                 g1.is_empty and g2.is_empty),
     )
-
-
-def _classify(additivity_ok, derivative_ok, boundary_ok, guiding_empty) -> str:
-    if not (derivative_ok and boundary_ok):
-        return "invalid"
-    if additivity_ok:
-        return "regular" if guiding_empty else "guided"
-    if additivity_ok is None:
-        return "quasi-regular" if guiding_empty else "guided"
-    return "quasi-regular" if guiding_empty else "invalid"
+    return replace(report, classification=classify(report))
 
 
 def classify(report: ValidationReport) -> str:
@@ -548,9 +508,11 @@ def classify(report: ValidationReport) -> str:
     * additivity checked and false -> ``quasi-regular`` if the guiding
       sets are empty, else ``invalid``.
     """
-    return _classify(
-        report.additivity_ok,
-        report.derivative_nonneg_ok,
-        report.boundary_ok,
-        report.guiding_set_1.is_empty and report.guiding_set_2.is_empty,
-    )
+    if not (report.derivative_nonneg_ok and report.boundary_ok):
+        return "invalid"
+    guiding_empty = report.guiding_set_1.is_empty and report.guiding_set_2.is_empty
+    if report.additivity_ok:
+        return "regular" if guiding_empty else "guided"
+    if report.additivity_ok is None:
+        return "quasi-regular" if guiding_empty else "guided"
+    return "quasi-regular" if guiding_empty else "invalid"

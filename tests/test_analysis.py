@@ -106,6 +106,20 @@ def test_oracle_enclosure_frozen_values(quad02):
     assert abs(gm_lo - 1.6347) <= 2e-3 and abs(gm_hi - 1.6347) <= 2e-3
 
 
+def test_oracle_enclosure_below_first_orbit_step(quad_m02):
+    """delta1'(1) = 0.9 for quadratic(-0.2), so the first inward orbit
+    point at depth 22 lies beyond 2^-13 from t0 = 1: every query falls
+    below it, the lower quotient bounds are 0 and the ratios are
+    unbounded above.  Valid, if uninformative, bounds; not an error."""
+    enc = oracle_quotient_enclosure(quad_m02, 1.0, k_min=6, k_max=13, depth=22)
+    for lo, hi in enc.quotient_bounds:
+        assert lo == 0.0 < hi
+    for lo, hi in enc.ratio_bounds:
+        assert lo == 0.0 and hi == np.inf
+    assert enc.ratio_envelope == (0.0, np.inf)
+    assert enc.geometric_mean_ratio_bounds() == (0.0, np.inf)
+
+
 def test_oracle_enclosure_standard_pair_is_linear():
     enc = oracle_quotient_enclosure(standard_pair(), 1.0, 4, 8, depth=16)
     for lo, hi in enc.quotient_bounds:

@@ -1,5 +1,7 @@
 """Contraction operator, conjugation solver, orbit oracle, verification."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from pconfig import (
     make_monotone,
     orbit_oracle,
     orbit_points,
+    perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
     sup_distance,
@@ -297,6 +300,20 @@ def test_word_validation():
 def test_orbit_points_count(quad02):
     pts = orbit_points(quad02, max_len=4, bases=(-1.0, 1.0))
     assert len(pts) == 2 * (2 ** 5 - 1)
+
+
+@pytest.mark.parametrize("pair", [quadratic_pair(0.2), perturbed_flat_pair(2)],
+                         ids=repr)
+def test_orbit_points_are_the_oracle_word_by_word(pair):
+    # orbit_points and build_orbit_grid read the labelled grid, orbit_oracle
+    # walks one word at a time: they must agree bit for bit
+    words = [Word(w, base=a) for a in (-1.0, 0.0, 1.0) for n in range(8)
+             for w in itertools.product((1, 2), repeat=n)]
+    walked = np.array([orbit_oracle(pair, w) for w in words])
+    gathered = np.array(orbit_points(pair, max_len=7))
+    assert gathered.tobytes() == walked.tobytes()
+    grid = build_orbit_grid(pair, 7)
+    assert grid.tobytes() == np.unique(walked[:, 0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
