@@ -15,7 +15,6 @@ import numpy as np
 from pconfig import (
     conjugate_to_standard,
     difference_quotients,
-    holder_estimate,
     identity,
     oracle_quotient_enclosure,
     quadratic_pair,
@@ -55,7 +54,7 @@ print()
 print("log-log fitted exponents")
 print("-" * 68)
 for t0 in (1.0, -1.0):
-    b = holder_estimate(h, t0, k_min=6, k_max=13)
+    b = difference_quotients(h, t0, k_min=6, k_max=13).holder_exponent
     print(f"  t0 = {t0:+.0f}: fitted beta = {b:.4f}")
 print()
 

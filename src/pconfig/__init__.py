@@ -16,7 +16,6 @@ from .analysis import (
     QuotientProbe,
     difference_quotients,
     dyadic_fixed_point_check,
-    holder_estimate,
     nonregular_experiment,
     oracle_quotient_enclosure,
 )

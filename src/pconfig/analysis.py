@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .conjugacy import DEFAULT_GRID, DEFAULT_TOL, Word, conjugate, orbit_oracle
+from .conjugacy import DEFAULT_GRID, Word, conjugate, orbit_oracle
 from .errors import BadSpec, BuildFailure, DyadicCheckFailure, ScaleBelowGrid
 from .families import MapPair, flat_interval, perturbed_flat_pair
 from .funcspace import MonotoneFunction
@@ -75,14 +75,15 @@ def difference_quotients(f: MonotoneFunction, t0: float,
                          k_min: int = 4, k_max: int = 10) -> QuotientProbe:
     """One-sided quotients |f(t0) - f(t0 -/+ 2^-k)| / 2^-k, k = k_min..k_max.
 
-    The probe always points toward the interior.  The finest scale must be
-    resolved by the grid: 2^-k_max has to be at least twice the widest
-    node gap inside the probed window, else :class:`ScaleBelowGrid`.
+    The probe always points toward the interior.  At least two scales
+    are needed to fit the exponent.  The finest scale must be resolved by
+    the grid: 2^-k_max has to be at least twice the widest node gap inside
+    the probed window, else :class:`ScaleBelowGrid`.
     """
     if t0 not in (-1.0, 1.0):
         raise ValueError("t0 must be -1 or 1")
-    if not (0 < k_min <= k_max):
-        raise ValueError("need 0 < k_min <= k_max")
+    if not (0 < k_min < k_max):
+        raise ValueError("need 0 < k_min < k_max")
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = np.arange(k_min, k_max + 1)
     scales = 2.0 ** (-ks.astype(float))
@@ -124,12 +125,6 @@ def difference_quotients(f: MonotoneFunction, t0: float,
         holder_exponent=holder,
         grid_size=f.grid_size,
     )
-
-
-def holder_estimate(f: MonotoneFunction, t0: float,
-                    k_min: int = 4, k_max: int = 10) -> float:
-    """Least-squares slope of log|f(t0) - f(t0 -/+ s)| against log s."""
-    return difference_quotients(f, t0, k_min, k_max).holder_exponent
 
 
 # --------------------------------------------------------------------------
@@ -182,10 +177,13 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     (j-1) 2^-depth apart; monotonicity of h turns the bracket into bounds
     on the quotient.  This is the independent confirmation channel for
     quotient-ratio bands: it measures the true log-periodic oscillation
-    around 2^(1-beta) without trusting the fixed-point solver.
+    around 2^(1-beta) without trusting the fixed-point solver.  At least
+    two scales are needed, so that there is a ratio to enclose.
     """
     if t0 not in (-1.0, 1.0):
         raise ValueError("t0 must be -1 or 1")
+    if not k_min < k_max:
+        raise ValueError("need k_min < k_max")
     eps = 2.0 ** (-depth)
     sign = -1.0 if t0 == 1.0 else 1.0
 
@@ -318,8 +316,7 @@ class ExperimentReport(Report):
 
 def nonregular_experiment(n: int, k: int, shape: dict | None = None,
                           grid: int = DEFAULT_GRID, tol: float = 1e-3,
-                          m_max: int = 8,
-                          solver_tol: float = DEFAULT_TOL) -> ExperimentReport:
+                          m_max: int = 8) -> ExperimentReport:
     """Run the non-isomorphism experiment for flat cells J_n vs J_k.
 
     Builds the two flat-point configurations, computes the candidate
@@ -351,7 +348,7 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
     except BadSpec as exc:
         raise BuildFailure(str(exc)) from exc
 
-    h = conjugate(pair_n, pair_k, grid=grid, tol=solver_tol)
+    h = conjugate(pair_n, pair_k, grid=grid)
 
     table = dyadic_fixed_point_check(h, pair_n, m_max=m_max)
     max_dev = max(table.deviations)

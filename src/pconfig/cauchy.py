@@ -124,14 +124,12 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         configuration (guided pairs are rejected here: the construction's
         uniqueness argument needs strictly increasing branches).
     """
-    report = validate(pair, mode="full")
-    if report.classification != "regular":
-        report = validate(pair, mode="quasi")
-        if report.classification != "quasi-regular":
-            raise InvalidPair(
-                f"pair classifies as {report.classification!r}; "
-                "need regular or quasi-regular"
-            )
+    classification = validate(pair, mode="full").classification
+    if classification not in ("regular", "quasi-regular"):
+        raise InvalidPair(
+            f"pair classifies as {classification!r}; "
+            "need regular or quasi-regular"
+        )
 
     if target is None:
         target = standard_pair()

@@ -39,8 +39,6 @@ log certifies: its residual measures the distance to that fixed point,
 not to h.  For quadratic(0.2) at 2^16+1 nodes the solved h(0.7) is
 8.9e-8 off the exact value 1/2 while the log's residual reads 3.5e-11.
 The exact samples of h are the orbit labels (:func:`orbit_oracle`).
-
-A uniform grid remains available via ``grid_kind="uniform"``.
 """
 
 from __future__ import annotations
@@ -86,13 +84,13 @@ def _bisect_increasing(fun, targets: np.ndarray) -> np.ndarray:
 
 
 class BranchInverse:
-    """Two-branch right inverse of a map pair, with its sign map.
+    """Two-branch right inverse of a map pair.
 
     ``pull_back(z)`` inverts delta2 for z in [-1, 0] and delta1 for z in
-    (0, 1]; ``sign(z)`` is -1 on [-1, 0] and +1 on (0, 1] (the breakpoint
-    belongs to the left branch).  The anchor images are pinned exactly:
-    pull_back(-1) = -1, pull_back(0) = 1, pull_back(1) = 1, which makes
-    the contraction fix the anchors without rounding drift.
+    (0, 1] (the breakpoint belongs to the left branch).  The anchor images
+    are pinned exactly: pull_back(-1) = -1, pull_back(0) = 1,
+    pull_back(1) = 1, which makes the contraction fix the anchors without
+    rounding drift.
     """
 
     def __init__(self, pair: MapPair):
@@ -109,10 +107,6 @@ class BranchInverse:
         out[z == 1.0] = 1.0
         return out
 
-    def sign(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= 0.0, -1.0, 1.0)
-
 
 def _require_in_cone(g: MonotoneFunction):
     if not g.fixes_anchors():
@@ -120,14 +114,14 @@ def _require_in_cone(g: MonotoneFunction):
     # nondecreasing holds by MonotoneFunction construction
 
 
-def _check_branches_invertible(pair: MapPair, probe: int = 4097):
+def _check_branches_invertible(pair: MapPair):
     """Reject pairs whose branches are flat on an interval (no inverse).
 
     Isolated flat points are fine; a run of more than two consecutive
     probe points with near-zero derivative (or any negative derivative)
     is not.
     """
-    t = np.linspace(-1.0, 1.0, probe)
+    t = np.linspace(-1.0, 1.0, 4097)
     for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
         dv = np.asarray(d(t))
         if np.min(dv) < -1e-12:
@@ -140,6 +134,27 @@ def _check_branches_invertible(pair: MapPair, probe: int = 4097):
                 raise BranchNotInvertible(
                     f"{name} is flat on an interval; branch not invertible"
                 )
+
+
+def _operator(pair: MapPair, nodes: np.ndarray):
+    """The halving pull-back operator T of `pair` on `nodes`.
+
+    Returns the step mapping node values of g to node values of Tg.  The
+    branch inverses of the nodes are solved once, here; the per-branch
+    running maximum repairs 1-ulp bisection wiggle so that monotonicity
+    of the iterates survives exact comparisons.
+    """
+    _check_branches_invertible(pair)
+    fz = BranchInverse(pair).pull_back(nodes)
+    left = nodes <= 0.0
+    fz[left] = np.maximum.accumulate(fz[left])
+    fz[~left] = np.maximum.accumulate(fz[~left])
+    chi = np.where(left, -1.0, 1.0)
+
+    def step(values):
+        return np.maximum.accumulate(
+            0.5 * (np.interp(fz, nodes, values) + chi))
+    return step
 
 
 def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
@@ -158,28 +173,9 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
         If a branch of `pair` is flat on an interval.
     """
     _require_in_cone(g)
-    _check_branches_invertible(pair)
-    fz, chi = _pulled_back_grid(pair, g.nodes)
-    vals = 0.5 * (np.interp(fz, g.nodes, g.values) + chi)
-    vals = np.maximum.accumulate(vals)
-    out = MonotoneFunction(g.nodes, vals, provenance="contraction-step")
-    assert np.all(np.diff(out.values) >= 0.0)
-    return out
-
-
-def _pulled_back_grid(pair: MapPair, nodes: np.ndarray):
-    """Branch-inverse images and signs of the grid, computed once per run.
-
-    The per-branch running maximum repairs 1-ulp bisection wiggle so that
-    monotonicity of the iterates survives exact comparisons.
-    """
-    inv = BranchInverse(pair)
-    fz = inv.pull_back(nodes)
-    chi = inv.sign(nodes)
-    left = nodes <= 0.0
-    fz[left] = np.maximum.accumulate(fz[left])
-    fz[~left] = np.maximum.accumulate(fz[~left])
-    return fz, chi
+    step = _operator(pair, g.nodes)
+    return MonotoneFunction(g.nodes, step(g.values),
+                            provenance="contraction-step")
 
 
 # --------------------------------------------------------------------------
@@ -215,15 +211,11 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     return np.unique(_labelled_orbit(pair, depth))
 
 
-def _solver_nodes(pair: MapPair, grid: int, grid_kind: str) -> np.ndarray:
+def _solver_nodes(pair: MapPair, grid: int) -> np.ndarray:
     if grid < 257:
         raise ValueError("grid must be >= 257")
-    if grid_kind == "uniform":
-        return np.linspace(-1.0, 1.0, grid)
-    if grid_kind == "adapted":
-        depth = max(2, int(math.floor(math.log2(grid - 1))) - 1)
-        return build_orbit_grid(pair, depth)
-    raise ValueError(f"grid_kind must be 'adapted' or 'uniform', got {grid_kind!r}")
+    depth = max(2, int(math.floor(math.log2(grid - 1))) - 1)
+    return build_orbit_grid(pair, depth)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +247,6 @@ class ConvergenceLog(Report):
     grid: int
     tol: float
     max_local_variation: float
-    grid_kind: str = "adapted"
     strictly_increasing: bool = True
 
 
@@ -263,7 +254,6 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
                           tol: float = DEFAULT_TOL,
                           max_iter: int = DEFAULT_MAX_ITER,
                           initial: MonotoneFunction | None = None,
-                          grid_kind: str = "adapted",
                           ) -> tuple[MonotoneFunction, ConvergenceLog]:
     """Compute the unique conjugation h of `pair` to the standard pair.
 
@@ -278,11 +268,8 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         Validated map pair with strictly increasing branches (regular,
         quasi-regular or isolated-flat-point families).
     grid :
-        Node budget; with the default adapted grid the actual node count
-        is the largest 2^d + 1 <= grid along branch orbits.
-    grid_kind :
-        "adapted" (default) samples h where it varies, see module notes;
-        "uniform" reproduces plain equispaced sampling.
+        Node budget; the solver samples h on the orbit grid (see module
+        notes), whose node count is the largest 2^d + 1 <= grid.
 
     Returns
     -------
@@ -297,19 +284,13 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     BranchNotInvertible
         If a branch is flat on an interval.
     """
-    _check_branches_invertible(pair)
-    nodes = _solver_nodes(pair, grid, grid_kind)
+    nodes = _solver_nodes(pair, grid)
     if initial is None:
         h = np.array(nodes)  # the identity on the solver grid
     else:
         _require_in_cone(initial)
         h = np.interp(nodes, initial.nodes, initial.values)
-
-    fz, chi = _pulled_back_grid(pair, nodes)
-
-    def step(values):
-        out = 0.5 * (np.interp(fz, nodes, values) + chi)
-        return np.maximum.accumulate(out)
+    step = _operator(pair, nodes)
 
     distances = []
     converged = False
@@ -337,7 +318,6 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         grid=int(nodes.size),
         tol=float(tol),
         max_local_variation=result.max_local_variation,
-        grid_kind=grid_kind,
         strictly_increasing=result.is_strictly_increasing(),
     )
     if not converged:
@@ -365,20 +345,23 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
 
 
 def retarget(h_source: MonotoneFunction, target: MapPair, grid: int,
-             tol: float) -> MonotoneFunction:
+             tol: float, max_iter: int = DEFAULT_MAX_ITER) -> MonotoneFunction:
     """Turn a conjugation of some pair to the standard pair into its
     conjugation to `target`, h_target^{-1} o h_source.
 
-    The target is solved on the same `grid` and `tol`.  Its inverse uses
-    the exact node/value swap, so the composition is node-exact wherever
-    h_source lands on a dyadic value.
+    The target is solved on the same `grid`, `tol` and `max_iter`.  Its
+    inverse uses the exact node/value swap, so the composition is
+    node-exact wherever h_source lands on a dyadic value.
 
     Raises
     ------
+    MaxIterExceeded
+        If the target's solve does not reach `tol` within `max_iter`.
     NotInvertible
         If the target's conjugation has a plateau at grid resolution.
     """
-    h_tgt, _ = conjugate_to_standard(target, grid=grid, tol=tol)
+    h_tgt, _ = conjugate_to_standard(target, grid=grid, tol=tol,
+                                     max_iter=max_iter)
     inv_tgt = funcspace.invert(h_tgt, resample=False)
     h = funcspace.compose(inv_tgt, h_source)
     return MonotoneFunction(h.nodes, h.values, provenance="solver")

@@ -10,7 +10,6 @@ from pconfig import (
     ScaleBelowGrid,
     difference_quotients,
     dyadic_fixed_point_check,
-    holder_estimate,
     identity,
     make_monotone,
     nonregular_experiment,
@@ -36,7 +35,7 @@ def test_identity_quotients_are_one():
 def test_linear_exponent_is_one():
     nodes = np.linspace(-1, 1, 4097)
     f = make_monotone(nodes, 0.5 * nodes)
-    assert abs(holder_estimate(f, -1.0, 2, 9) - 1.0) <= 1e-6
+    assert abs(difference_quotients(f, -1.0, 2, 9).holder_exponent - 1.0) <= 1e-6
 
 
 def test_probe_rejects_unresolved_scales():
@@ -49,6 +48,9 @@ def test_probe_validates_arguments():
         difference_quotients(identity(257), 0.5, 2, 4)
     with pytest.raises(ValueError):
         difference_quotients(identity(257), 1.0, 5, 4)
+    with pytest.raises(ValueError):
+        # one scale leaves nothing to fit the exponent to
+        difference_quotients(identity(4097), 1.0, 3, 3)
 
 
 def test_quotients_match_oracle_enclosure(quad02, quad02_solved_16k):
@@ -62,7 +64,7 @@ def test_quotients_match_oracle_enclosure(quad02, quad02_solved_16k):
 def test_exponent_estimate_in_band_both_endpoints(quad02_solved_16k):
     h, _ = quad02_solved_16k
     for t0 in (1.0, -1.0):
-        beta = holder_estimate(h, t0, k_min=6, k_max=11)
+        beta = difference_quotients(h, t0, k_min=6, k_max=11).holder_exponent
         assert 0.27 <= beta <= 0.33
 
 
@@ -118,6 +120,14 @@ def test_oracle_enclosure_below_first_orbit_step(quad_m02):
         assert lo == 0.0 and hi == np.inf
     assert enc.ratio_envelope == (0.0, np.inf)
     assert enc.geometric_mean_ratio_bounds() == (0.0, np.inf)
+
+
+def test_oracle_enclosure_needs_two_scales(quad02):
+    # a single scale has no ratio to enclose
+    with pytest.raises(ValueError):
+        oracle_quotient_enclosure(quad02, 1.0, k_min=8, k_max=8)
+    with pytest.raises(ValueError):
+        oracle_quotient_enclosure(quad02, 1.0, k_min=9, k_max=8)
 
 
 def test_oracle_enclosure_standard_pair_is_linear():

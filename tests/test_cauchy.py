@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pconfig import cauchy
 from pconfig import (
     AnchorsNotFixed,
     DegenerateChoice,
@@ -18,6 +19,7 @@ from pconfig import (
     quadratic_pair,
     solve_nonlinear,
     standard_pair,
+    validate,
     verify_conjugacy,
 )
 
@@ -107,19 +109,29 @@ def test_solve_degenerate_choice_warns(std):
     assert cert.fe_residual <= 1e-12
 
 
-def test_solve_rejects_invalid_pair():
-    with pytest.raises(InvalidPair):
-        solve_nonlinear(quadratic_pair(0.3))
+def test_solve_rejects_invalid_pair(pf2):
+    # invalid (c = 0.3) and guided (c = 0.25, flat-point) pairs alike
+    for pair in (quadratic_pair(0.3), quadratic_pair(0.25), pf2):
+        with pytest.raises(InvalidPair):
+            solve_nonlinear(pair, grid=1025)
 
 
-def test_solve_accepts_quasi_pair():
+def test_solve_accepts_quasi_pair(monkeypatch):
     quasi = build_family({
         "family": "polynomial",
         "mode": "quasi",
         "delta1": [0.5, 0.5],
         "delta2": [-0.5, 0.45, 0.0, 0.05],
     })
+    modes = []
+
+    def counted(pair, mode="full", **kwargs):
+        modes.append(mode)
+        return validate(pair, mode=mode, **kwargs)
+
+    monkeypatch.setattr(cauchy, "validate", counted)
     cert = solve_nonlinear(quasi, grid=1025)
+    assert modes == ["full"]
     assert cert.fe_residual <= 1e-2
     assert cert.nonlinearity_gap > 0.0
 

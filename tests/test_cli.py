@@ -92,6 +92,13 @@ def test_conjugate_to_explicit_target(quad_config, tmp_path):
     assert code == 0
 
 
+def test_conjugate_max_iter_reaches_target_solve(std_config, tmp_path):
+    # the standard source converges in one step, quadratic(0.2) in more than 3
+    assert run(["conjugate", "--config", std_config, "--grid", 1025,
+                "--target", "quadratic:0.2", "--max-iter", 3,
+                "--out", tmp_path]) == 1
+
+
 def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):
     from pconfig import funcspace, identity, sup_distance
     assert run(["conjugate", "--config", std_config, "--grid", 1025,
@@ -165,6 +172,9 @@ def test_probe_existing_csv_and_scale_mismatch(tmp_path):
     code = run(["probe", "--h-csv", csv_path, "--scales", "2:5",
                 "--out", tmp_path])
     assert code == 0
+    code = run(["probe", "--h-csv", csv_path, "--scales", "3:3",
+                "--out", tmp_path])
+    assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +202,20 @@ def test_nonregular_equal_cells_exits_two(tmp_path):
 
 def test_bad_subcommand_exits_two():
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "{std}", "--tol", "1e-3"],
+    ["validate", "--config", "{std}", "--max-iter", "5"],
+    ["solve-fe", "--config", "{std}", "--max-iter", "5"],
+    ["nonregular", "--grid", "1025", "--max-iter", "1"],
+    ["nonregular", "--grid", "1025", "--tol", "1e-3"],
+    ["nonregular", "--grid", "1025", "--config", "{std}"],
+])
+def test_unread_option_exits_two(argv, std_config, tmp_path):
+    # each subcommand declares only the options it reads
+    argv = [a.format(std=std_config) for a in argv]
+    assert run([*argv, "--out", tmp_path]) == 2
 
 
 def test_bad_grid_exits_two(std_config, tmp_path):

@@ -196,22 +196,9 @@ def test_max_iter_exceeded_carries_partial_log(quad02):
     assert log is not None and log.iterations == 3
 
 
-def test_uniform_grid_kind_supported(quad02):
-    # compatibility mode: fixed point of the same operator on equispaced
-    # nodes; accuracy near dyadic-orbit points is interpolation-limited
-    # because h is only Holder there, hence the loose tolerance
-    h, log = conjugate_to_standard(quad02, grid=1025, grid_kind="uniform")
-    assert log.grid == 1025
-    assert np.array_equal(h.nodes, np.linspace(-1, 1, 1025))
-    assert evaluate(h, 0.7) == pytest.approx(0.5, abs=1e-2)
-    assert all(r <= 0.5 + 1e-3 for r in log.ratios)
-
-
 def test_solver_rejects_bad_grid(quad02):
     with pytest.raises(ValueError):
         conjugate_to_standard(quad02, grid=100)
-    with pytest.raises(ValueError):
-        conjugate_to_standard(quad02, grid_kind="chebyshev")
 
 
 # ---------------------------------------------------------------------------
