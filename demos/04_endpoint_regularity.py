@@ -27,7 +27,7 @@ print(f"naive ratio prediction:    2^(1-beta)      = {2 ** (1 - beta):.6f}")
 print()
 
 print("solving on 2^16 + 1 orbit nodes (fine enough for scale 2^-13)...")
-h, _ = conjugate_to_standard(pair, grid=65537, tol=1e-10)
+h, _ = conjugate_to_standard(pair, grid=65537)
 probe = difference_quotients(h, 1.0, k_min=6, k_max=13)
 enc = oracle_quotient_enclosure(pair, 1.0, k_min=6, k_max=13, depth=22)
 

@@ -3,8 +3,8 @@
 The toolkit validates and classifies pairs of increasing interval
 self-maps with the additive/boundary axioms, computes the unique
 conjugating homeomorphism of any regular pair to the standard affine pair
-by certified contraction iteration, turns conjugations into continuous
-nonlinear solutions of the functional equation
+exactly at the orbit points of the anchors, turns conjugations into
+continuous nonlinear solutions of the functional equation
 f(t) = f(delta1(t)) + f(delta2(t)), and probes the (non-)smoothness and
 non-isomorphism phenomena that come with them.
 """
@@ -48,7 +48,6 @@ from .errors import (
     DegenerateChoice,
     DyadicCheckFailure,
     InvalidPair,
-    MaxIterExceeded,
     NonMonotoneInput,
     NotInC,
     NotInvertible,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .conjugacy import DEFAULT_GRID, DEFAULT_TOL, conjugate, conjugate_to_standard
+from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard
 from .errors import AnchorsNotFixed, DegenerateChoice, InvalidPair, NotStrictlyIncreasing
 from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
 from .funcspace import MonotoneFunction
@@ -52,7 +52,6 @@ class SolutionCertificate(Report):
     source: dict
     target: dict
     grid: int
-    tol: float
     degenerate: bool = False
 
     def to_dict(self) -> dict:
@@ -103,8 +102,7 @@ def nonlinearity_gap(f: MonotoneFunction, slope: float | None = None) -> float:
 
 
 def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
-                    grid: int = DEFAULT_GRID,
-                    tol: float = DEFAULT_TOL) -> SolutionCertificate:
+                    grid: int = DEFAULT_GRID) -> SolutionCertificate:
     """Produce a continuous nonlinear solution for the given pair.
 
     The solution is the conjugation of `pair` to `target`; the target must
@@ -147,14 +145,13 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
             source=pair.descriptor(),
             target=target.descriptor(),
             grid=int(grid),
-            tol=float(tol),
             degenerate=True,
         )
 
     if target.family == "standard":
-        h, _ = conjugate_to_standard(pair, grid=grid, tol=tol)
+        h, _ = conjugate_to_standard(pair, grid=grid)
     else:
-        h = conjugate(pair, target, grid=grid, tol=tol)
+        h = conjugate(pair, target, grid=grid)
     return SolutionCertificate(
         solution=h,
         fe_residual=fe_residual(h, pair, grid=grid),
@@ -162,7 +159,6 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         source=pair.descriptor(),
         target=target.descriptor(),
         grid=int(grid),
-        tol=float(tol),
     )
 
 

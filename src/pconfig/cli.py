@@ -3,7 +3,7 @@
 Subcommands
 -----------
 ``validate``    axiom checks and classification of a family descriptor
-``conjugate``   conjugation of a family to a target, with convergence log
+``conjugate``   conjugation of a family to a target, with the solver log
 ``solve-fe``    nonlinear solution of the additive functional equation
 ``probe``       endpoint difference-quotient probe of a computed solution
 ``nonregular``  flat-point non-isomorphism experiment
@@ -25,19 +25,11 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, cauchy, conjugacy, families, funcspace
-from .errors import (
-    DyadicCheckFailure,
-    InvalidPair,
-    MaxIterExceeded,
-    PConfigError,
-    ScaleBelowGrid,
-)
+from .errors import DyadicCheckFailure, InvalidPair, PConfigError, ScaleBelowGrid
 
 EXIT_OK = 0
 EXIT_QUANTITATIVE = 1
 EXIT_USAGE = 2
-
-RATIO_BOUND = 0.5 + 1e-3
 
 
 class UsageError(Exception):
@@ -65,10 +57,6 @@ def _check_options(args):
     directory is created if missing and must be writable."""
     if args.grid < 257:
         raise UsageError("--grid must be >= 257")
-    if "tol" in args and not 0.0 < args.tol < 1.0:
-        raise UsageError("--tol must lie in (0, 1)")
-    if "max_iter" in args and args.max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
     args.out = Path(args.out)
     args.out.mkdir(parents=True, exist_ok=True)
     if not os.access(args.out, os.W_OK):
@@ -137,29 +125,22 @@ def cmd_validate(args) -> int:
 def cmd_conjugate(args) -> int:
     source = _load_family(args.config)
     target = _resolve_target(args.target)
-    try:
-        h, log = conjugacy.conjugate_to_standard(
-            source, grid=args.grid, tol=args.tol, max_iter=args.max_iter)
-        if target is not None and target.family != "standard":
-            h = conjugacy.retarget(h, target, grid=args.grid, tol=args.tol,
-                                   max_iter=args.max_iter)
-    except MaxIterExceeded as exc:
-        if exc.log is not None:
-            _atomic_write(args.out / "convergence.json", exc.log.to_json() + "\n")
-        print(f"no convergence: {exc}", file=sys.stderr)
-        return EXIT_QUANTITATIVE
+    h, log = conjugacy.conjugate_to_standard(source, grid=args.grid)
+    if target is not None and target.family != "standard":
+        h = conjugacy.retarget(h, target, grid=args.grid)
     _atomic_write(args.out / "h.csv", funcspace.to_csv(h))
     _atomic_write(args.out / "convergence.json", log.to_json() + "\n")
     _atomic_write(args.out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
-    ok = log.residual <= args.tol * 10 and all(r <= RATIO_BOUND for r in log.ratios)
-    print(f"iterations: {log.iterations}  residual: {log.residual:.3e}")
-    return EXIT_OK if ok else EXIT_QUANTITATIVE
+    print(f"residual: {log.residual:.3e}  nodes: {log.grid}")
+    # the labels increase strictly by construction, so only a retargeted
+    # composition that rounds adjacent values together can fail here
+    return EXIT_OK if h.is_strictly_increasing() else EXIT_QUANTITATIVE
 
 
 def cmd_solve_fe(args) -> int:
     pair = _load_family(args.config)
     target = _resolve_target(args.target)
-    cert = cauchy.solve_nonlinear(pair, target=target, grid=args.grid, tol=args.tol)
+    cert = cauchy.solve_nonlinear(pair, target=target, grid=args.grid)
     _atomic_write(args.out / "certificate.json", cert.to_json() + "\n")
     _atomic_write(args.out / "solution.csv", funcspace.to_csv(cert.solution))
     _atomic_write(args.out / "solution.gp",
@@ -169,7 +150,7 @@ def cmd_solve_fe(args) -> int:
           f"{'  (degenerate)' if cert.degenerate else ''}")
     if cert.degenerate and not args.allow_degenerate:
         return EXIT_QUANTITATIVE
-    bound = 10.0 * (cert.solution.max_local_variation + args.tol)
+    bound = 10.0 * cert.solution.max_local_variation
     ok = cert.fe_residual <= max(bound, 1e-12)
     ok = ok and (cert.degenerate or cert.nonlinearity_gap > 0.0)
     return EXIT_OK if ok else EXIT_QUANTITATIVE
@@ -183,9 +164,8 @@ def cmd_probe(args) -> int:
             raise UsageError(f"h CSV not found: {h_csv}")
         h = funcspace.from_csv(h_csv.read_text(), provenance="file")
     else:
-        h, _ = conjugacy.conjugate_to_standard(
-            _load_family(args.config), grid=args.grid, tol=args.tol,
-            max_iter=args.max_iter)
+        h, _ = conjugacy.conjugate_to_standard(_load_family(args.config),
+                                               grid=args.grid)
     try:
         probe = analysis.difference_quotients(h, args.t0, k_min, k_max)
     except ScaleBelowGrid as exc:
@@ -221,8 +201,6 @@ def cmd_nonregular(args) -> int:
 _SHARED_OPTIONS = {
     "--config": {"help": "family descriptor JSON path"},
     "--grid": {"type": int, "default": conjugacy.DEFAULT_GRID},
-    "--tol": {"type": float, "default": conjugacy.DEFAULT_TOL},
-    "--max-iter": {"type": int, "default": conjugacy.DEFAULT_MAX_ITER},
     "--target": {"help": "path | standard | quadratic:<c>"},
     "--out": {"default": "."},
 }
@@ -246,14 +224,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "--config", "--grid", "--out")
 
     command("conjugate", "conjugation to a target pair",
-            "--config", "--grid", "--tol", "--max-iter", "--out", "--target")
+            "--config", "--grid", "--out", "--target")
 
     p = command("solve-fe", "nonlinear functional-equation solution",
-                "--config", "--grid", "--tol", "--out", "--target")
+                "--config", "--grid", "--out", "--target")
     p.add_argument("--allow-degenerate", action="store_true")
 
     p = command("probe", "endpoint difference-quotient probe",
-                "--config", "--grid", "--tol", "--max-iter", "--out")
+                "--config", "--grid", "--out")
     p.add_argument("--t0", type=float, choices=(-1.0, 1.0), default=1.0)
     p.add_argument("--scales", default="4:10", help="kmin:kmax")
     p.add_argument("--h-csv", help="probe an existing solution CSV")
@@ -289,7 +267,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MaxIterExceeded, DyadicCheckFailure, InvalidPair) as exc:
+    except (DyadicCheckFailure, InvalidPair) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUANTITATIVE
     except PConfigError as exc:

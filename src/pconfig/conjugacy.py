@@ -2,8 +2,7 @@
 
 Every regular configuration (delta1, delta2) is conjugate to the standard
 pair sigma1 = (t+1)/2, sigma2 = (t-1)/2 by a unique homeomorphism h fixing
--1, 0 and 1.  h is computed as the fixed point of the halving pull-back
-operator
+-1, 0 and 1.  h is the unique fixed point of the halving pull-back operator
 
     (Tg)(z) = ( g(pullback(z)) + sign(z) ) / 2,
 
@@ -12,7 +11,8 @@ where ``pullback`` inverts delta2 on [-1, 0] and delta1 on (0, 1], and
 nondecreasing functions fixing the anchors into itself and contracts
 sup-distance by the factor 1/2 (the factor comes from the division alone,
 so flat-point branches are iterated just as fast; only the a-posteriori
-homeomorphism check depends on regularity).
+homeomorphism check depends on regularity).  :func:`contraction_step`
+applies T once.
 
 Grid choice
 -----------
@@ -23,22 +23,30 @@ accuracies the certification suite demands.  The solver instead samples h
 on the *orbit grid*: all images of the anchors under branch words up to a
 fixed depth.  h maps the depth-d orbit grid exactly onto the uniform
 dyadic grid {k 2^-d}, so consecutive node values differ by exactly 2^-d
-and the interpolation error is equidistributed.  Two bonuses follow:
+and the interpolation error is equidistributed.
 
-* in exact arithmetic the pull-back maps the depth-d orbit grid into the
-  depth-(d-1) orbit grid, so the discrete iteration would evaluate the
-  previous iterate at nodes only;
-* after about d iterations the update collapses to rounding noise, so
-  convergence to tight tolerances takes a few dozen steps at most.
+The solver
+----------
+h intertwines the two systems, so h(w_delta(a)) = w_sigma(a) for every
+branch word w and anchor a: the value of h at an orbit point is the
+dyadic label of a word that reaches it.  :func:`conjugate_to_standard`
+reads h off the labelled orbit, exactly and without iterating.  Near the
+endpoints distinct words can collide at float resolution, or land out of
+label order; each node then keeps the label of one word that reaches it,
+and the labels are sorted alongside the nodes, so h still fixes the
+anchors and increases strictly.
 
-The pull-back is computed by bisection, so its images miss the shallower
-nodes by rounding, and interpolating there carries that error into every
-later iterate.  The iteration converges to the fixed point of this
-bisection-perturbed discrete operator, and that is what the convergence
-log certifies: its residual measures the distance to that fixed point,
-not to h.  For quadratic(0.2) at 2^16+1 nodes the solved h(0.7) is
-8.9e-8 off the exact value 1/2 while the log's residual reads 3.5e-11.
-The exact samples of h are the orbit labels (:func:`orbit_oracle`).
+The log's ``residual`` is sup |Th - h| for one application of T, a
+diagnostic that nothing gates on.  T's pull-back is solved by bisection,
+so on a complete grid the residual measures the bisection error of T,
+not an error of h.  Where nodes are lost it is several dyadic steps
+whether or not the sorting put a node off its own words' labels
+(quadratic(0.249) at 2^12+1: 2.3e-3, each node within one step of its
+labels; quadratic(0.2480): 2.0e-3, a node two steps off), so it cannot
+tell the two apart either.  Iterating T from the identity converges at
+ratio 1/2 to the fixed point of that bisection-perturbed T, which is not
+h: for quadratic(0.2) it lies 4.9e-10 off the labels at 2^12+1 nodes
+and 8.9e-8 off at 2^16+1.
 """
 
 from __future__ import annotations
@@ -49,14 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .errors import BranchNotInvertible, MaxIterExceeded, NotInC
+from .errors import BranchNotInvertible, NotInC
 from .families import ANCHORS, MapPair
 from .funcspace import MonotoneFunction
 from .report import Report
 
 DEFAULT_GRID = 4097
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
 
 #: Bisection step count: 50 steps already bracket to 2^-49 * 2 < 1e-14;
 #: the extra steps let the bracket collapse to adjacent floats, which the
@@ -211,11 +217,28 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     return np.unique(_labelled_orbit(pair, depth))
 
 
-def _solver_nodes(pair: MapPair, grid: int) -> np.ndarray:
+def _solver_depth(grid: int) -> int:
     if grid < 257:
         raise ValueError("grid must be >= 257")
-    depth = max(2, int(math.floor(math.log2(grid - 1))) - 1)
-    return build_orbit_grid(pair, depth)
+    return max(2, int(math.floor(math.log2(grid - 1))) - 1)
+
+
+def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
+    """The values of h at `nodes`, the nodes of build_orbit_grid(pair, depth).
+
+    Each node takes the smallest label of the words that land on it, an
+    anchor its own label, and the labels are sorted alongside the nodes.
+    """
+    # np.unique(..., return_index=True) would do, but this order of
+    # allocations keeps the peak memory of a 2^20+1 solve where it was
+    # before labels were read (8 MB less)
+    node_of_word = np.searchsorted(nodes, _labelled_orbit(pair, depth))
+    labels = np.full(nodes.size, np.inf)
+    np.minimum.at(labels, node_of_word,
+                  np.linspace(-1.0, 1.0, node_of_word.size))
+    del node_of_word
+    labels[np.searchsorted(nodes, ANCHORS)] = ANCHORS
+    return np.sort(labels)
 
 
 # --------------------------------------------------------------------------
@@ -224,43 +247,34 @@ def _solver_nodes(pair: MapPair, grid: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceLog(Report):
-    """Per-iteration diagnostics of the fixed-point run.
+    """How far the operator T moves the solved h, and what h resolves.
 
-    ``distances[i]`` is the sup-distance between iterates i and i+1;
-    ``ratios`` are successive quotients of those distances (each bounded
-    by 1/2 up to rounding); ``residual`` is the sup-distance between the
-    returned function and one further operator application;
+    ``residual`` is sup |Th - h| over the nodes for one application of T,
+    reported but not a test of h (see the module notes);
     ``max_local_variation`` is the largest value increment between
-    adjacent nodes, the honest bound on what happens between samples.
-    ``strictly_increasing`` is the a-posteriori homeomorphism check: the
-    contraction converges for flat-point pairs just as fast, but only
-    derivatives bounded inside (0, 1) guarantee injectivity a priori, so
-    the solver checks the result and reports.  The residual certifies the
-    fixed point of the bisection-perturbed operator, not h itself (see
-    the module notes).
+    adjacent nodes, the honest bound on what happens between samples;
+    ``strictly_increasing`` is the homeomorphism check at grid level,
+    true by construction for the sorted labels.
+    ``iterations`` is always 0, since the solver does not iterate; the
+    benchmark's tracer still reads it.
     """
 
-    iterations: int
-    distances: tuple
-    ratios: tuple
     residual: float
     grid: int
-    tol: float
     max_local_variation: float
     strictly_increasing: bool = True
 
+    iterations = 0
+
 
 def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
-                          tol: float = DEFAULT_TOL,
-                          max_iter: int = DEFAULT_MAX_ITER,
-                          initial: MonotoneFunction | None = None,
                           ) -> tuple[MonotoneFunction, ConvergenceLog]:
     """Compute the unique conjugation h of `pair` to the standard pair.
 
     h satisfies h(delta_i(t)) = sigma_i(h(t)) with sigma the standard
-    maps, and fixes -1, 0, 1 exactly at those nodes.  Iteration starts
-    from the identity (or from `initial`, resampled onto the solver grid)
-    and stops once successive iterates are within `tol` in sup-distance.
+    maps, and fixes -1, 0, 1 exactly.  Its values at the orbit-grid nodes
+    are the exact dyadic labels of the words that reach them (see module
+    notes).
 
     Parameters
     ----------
@@ -274,61 +288,29 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     Returns
     -------
     (h, log) :
-        The sampled conjugation and its convergence log.
+        The sampled conjugation and its log.
 
     Raises
     ------
-    MaxIterExceeded
-        If `max_iter` steps do not reach `tol`; the partial log is
-        attached to the exception.
     BranchNotInvertible
         If a branch is flat on an interval.
     """
-    nodes = _solver_nodes(pair, grid)
-    if initial is None:
-        h = np.array(nodes)  # the identity on the solver grid
-    else:
-        _require_in_cone(initial)
-        h = np.interp(nodes, initial.nodes, initial.values)
-    step = _operator(pair, nodes)
-
-    distances = []
-    converged = False
-    for _ in range(max_iter):
-        h_next = step(h)
-        d = float(np.max(np.abs(h_next - h)))
-        distances.append(d)
-        h = h_next
-        if d <= tol:
-            converged = True
-            break
-
-    ratios = tuple(
-        distances[i + 1] / distances[i]
-        for i in range(len(distances) - 1)
-        if distances[i] > 0.0
-    )
-    residual = float(np.max(np.abs(step(h) - h)))
-    result = MonotoneFunction(np.array(nodes), h, provenance="solver")
+    depth = _solver_depth(grid)
+    nodes = build_orbit_grid(pair, depth)
+    h = MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes),
+                         provenance="solver")
+    step = _operator(pair, h.nodes)
     log = ConvergenceLog(
-        iterations=len(distances),
-        distances=tuple(distances),
-        ratios=ratios,
-        residual=residual,
-        grid=int(nodes.size),
-        tol=float(tol),
-        max_local_variation=result.max_local_variation,
-        strictly_increasing=result.is_strictly_increasing(),
+        residual=float(np.max(np.abs(step(h.values) - h.values))),
+        grid=int(h.grid_size),
+        max_local_variation=h.max_local_variation,
+        strictly_increasing=h.is_strictly_increasing(),
     )
-    if not converged:
-        raise MaxIterExceeded(
-            f"no convergence to {tol} within {max_iter} iterations", log=log
-        )
-    return result, log
+    return h, log
 
 
-def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
-              tol: float = DEFAULT_TOL) -> MonotoneFunction:
+def conjugate(source: MapPair, target: MapPair,
+              grid: int = DEFAULT_GRID) -> MonotoneFunction:
     """Conjugation h of `source` to `target`: h(delta_i(t)) = tau_i(h(t)).
 
     Since conjugacy is an equivalence relation, h is obtained as
@@ -340,30 +322,26 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
     NotInvertible
         If the target's conjugation has a plateau at grid resolution.
     """
-    h_src, _ = conjugate_to_standard(source, grid=grid, tol=tol)
-    return retarget(h_src, target, grid=grid, tol=tol)
+    h_src, _ = conjugate_to_standard(source, grid=grid)
+    return retarget(h_src, target, grid=grid)
 
 
-def retarget(h_source: MonotoneFunction, target: MapPair, grid: int,
-             tol: float, max_iter: int = DEFAULT_MAX_ITER) -> MonotoneFunction:
+def retarget(h_source: MonotoneFunction, target: MapPair,
+             grid: int) -> MonotoneFunction:
     """Turn a conjugation of some pair to the standard pair into its
     conjugation to `target`, h_target^{-1} o h_source.
 
-    The target is solved on the same `grid`, `tol` and `max_iter`.  Its
-    inverse uses the exact node/value swap, so the composition is
-    node-exact wherever h_source lands on a dyadic value.
+    The target is solved on the same `grid`.  Its inverse is the exact
+    node/value swap, so the composition is node-exact wherever h_source
+    lands on a dyadic value.
 
     Raises
     ------
-    MaxIterExceeded
-        If the target's solve does not reach `tol` within `max_iter`.
     NotInvertible
         If the target's conjugation has a plateau at grid resolution.
     """
-    h_tgt, _ = conjugate_to_standard(target, grid=grid, tol=tol,
-                                     max_iter=max_iter)
-    inv_tgt = funcspace.invert(h_tgt, resample=False)
-    h = funcspace.compose(inv_tgt, h_source)
+    h_tgt, _ = conjugate_to_standard(target, grid=grid)
+    h = funcspace.compose(funcspace.invert(h_tgt), h_source)
     return MonotoneFunction(h.nodes, h.values, provenance="solver")
 
 

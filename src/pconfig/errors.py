@@ -18,7 +18,8 @@ class NonMonotoneInput(PConfigError):
 
 
 class BadDomain(PConfigError):
-    """Node abscissae do not form a strictly increasing span of [-1, 1]."""
+    """Node abscissae do not form a strictly increasing span of [-1, 1], or
+    are too close for a finite slope between them."""
 
 
 class OutOfDomain(PConfigError):
@@ -52,17 +53,6 @@ class NotInC(PConfigError):
 
 class BranchNotInvertible(PConfigError):
     """A branch map is not strictly increasing, so its inverse is undefined."""
-
-
-class MaxIterExceeded(PConfigError):
-    """Fixed-point iteration hit the iteration cap before reaching tolerance.
-
-    Carries the partial convergence log in ``.log``.
-    """
-
-    def __init__(self, message, log=None):
-        super().__init__(message)
-        self.log = log
 
 
 # --- functional-equation errors --------------------------------------------

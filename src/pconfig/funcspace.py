@@ -40,9 +40,6 @@ DOMAIN_RIGHT = 1.0
 #: Default node count for uniform grids, 2^12 + 1.
 DEFAULT_GRID_SIZE = 4097
 
-#: Abscissa tolerance honoured by inverse evaluation.
-INVERSE_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class MonotoneFunction:
@@ -51,7 +48,9 @@ class MonotoneFunction:
     Attributes
     ----------
     nodes :
-        Strictly increasing abscissae; first is -1, last is +1.
+        Strictly increasing abscissae; first is -1, last is +1.  Each
+        slope between adjacent nodes must be finite, so that linear
+        interpolation stays inside the values it interpolates.
     values :
         Nondecreasing ordinates in [-1, 1], one per node.
     provenance :
@@ -74,10 +73,15 @@ class MonotoneFunction:
             raise BadDomain(
                 f"nodes must span [-1, 1], got [{nodes[0]}, {nodes[-1]}]"
             )
-        if np.any(np.diff(nodes) <= 0):
+        dx = np.diff(nodes)
+        if np.any(dx <= 0):
             raise BadDomain("nodes must be strictly increasing")
-        if np.any(np.diff(values) < 0):
+        dv = np.diff(values)
+        if np.any(dv < 0):
             raise NonMonotoneInput("values must be nondecreasing")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(dv / dx)):
+                raise BadDomain("slope between adjacent nodes is not finite")
         if values[0] < DOMAIN_LEFT or values[-1] > DOMAIN_RIGHT:
             raise NonMonotoneInput("values must lie within [-1, 1]")
         nodes.setflags(write=False)
@@ -148,7 +152,8 @@ def make_monotone(nodes, values, provenance: str = "user") -> MonotoneFunction:
     NonMonotoneInput
         If the values decrease anywhere or leave [-1, 1].
     BadDomain
-        If the nodes do not form a strictly increasing span of [-1, 1].
+        If the nodes do not form a strictly increasing span of [-1, 1],
+        or a slope between adjacent nodes is not finite.
     """
     return MonotoneFunction(np.array(nodes, dtype=float),
                             np.array(values, dtype=float), provenance)
@@ -220,14 +225,11 @@ def compose(outer: MonotoneFunction, inner: MonotoneFunction) -> MonotoneFunctio
     return MonotoneFunction(inner.nodes, vals, provenance="composition")
 
 
-def invert(f: MonotoneFunction, n: int | None = None,
-           resample: bool = True) -> MonotoneFunction:
+def invert(f: MonotoneFunction) -> MonotoneFunction:
     """Inverse of a strictly increasing function with full range [-1, 1].
 
-    With ``resample=True`` (default) the swapped samples are re-sampled to
-    a uniform grid of ``n`` nodes (same count as `f` if omitted).  With
-    ``resample=False`` the nodes and values are swapped verbatim, which is
-    the *exact* piecewise-linear inverse of the interpolant.
+    Nodes and values are swapped, which is the exact piecewise-linear
+    inverse of the interpolant.
 
     Raises
     ------
@@ -239,12 +241,7 @@ def invert(f: MonotoneFunction, n: int | None = None,
         raise NotInvertible("plateau detected: equal consecutive node values")
     if f.values[0] != DOMAIN_LEFT or f.values[-1] != DOMAIN_RIGHT:
         raise NotInvertible("range must be all of [-1, 1] to invert")
-    if not resample:
-        return MonotoneFunction(f.values, f.nodes, provenance="inverse")
-    grid = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n or f.grid_size)
-    vals = np.interp(grid, f.values, f.nodes)
-    # uniform grid includes the endpoints, where the swap is exact
-    return MonotoneFunction(grid, vals, provenance="inverse")
+    return MonotoneFunction(f.values, f.nodes, provenance="inverse")
 
 
 def sup_distance(f: MonotoneFunction, g: MonotoneFunction) -> float:

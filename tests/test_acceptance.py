@@ -16,6 +16,7 @@ slack; the geometric-mean ratio is additionally held near the predicted
 """
 
 import pconfig as pc
+from conftest import iterate_contraction
 
 TOL = 1e-10
 
@@ -35,20 +36,21 @@ def check(n: int, ok: bool, detail: str):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_01_contraction_certificate(quad02_solved):
-    _, log = quad02_solved
-    worst = max(log.ratios) if log.ratios else 0.0
-    ok = worst <= 0.5 + 1e-3 and log.iterations <= 45
+def test_criterion_01_contraction_certificate(quad02, quad02_solved):
+    _, distances, ratios = iterate_contraction(quad02, quad02_solved[0].nodes)
+    worst = max(ratios) if ratios else 0.0
+    steps = len(distances)
+    ok = worst <= 0.5 + 1e-3 and 2 <= steps <= 45
     check(1, ok,
-          f"max ratio {worst:.6f} <= 0.501, iterations {log.iterations} <= 45")
+          f"max ratio {worst:.6f} <= 0.501, iterations 2 <= {steps} <= 45")
 
 
 def test_criterion_02_anchor_pinning(std, quad02, quad_m02, pf2, quad02_solved):
     devs = []
     runs = [quad02_solved[0]]
     for pair in (std, quad_m02, pf2):
-        runs.append(pc.conjugate_to_standard(pair, grid=4097, tol=TOL)[0])
-    runs.append(pc.conjugate(quad02, quad_m02, grid=1025, tol=TOL))
+        runs.append(pc.conjugate_to_standard(pair, grid=4097)[0])
+    runs.append(pc.conjugate(quad02, quad_m02, grid=1025))
     for h in runs:
         devs.extend(abs(pc.evaluate(h, a) - a) for a in (-1.0, 0.0, 1.0))
     ok = all(d == 0.0 for d in devs)
@@ -88,25 +90,26 @@ def test_criterion_05_nonlinearity(quad02_solved):
 
 
 def test_criterion_06_round_trip(quad02, quad_m02):
-    h_ab = pc.conjugate(quad02, quad_m02, grid=4097, tol=TOL)
-    h_ba = pc.conjugate(quad_m02, quad02, grid=4097, tol=TOL)
+    h_ab = pc.conjugate(quad02, quad_m02, grid=4097)
+    h_ba = pc.conjugate(quad_m02, quad02, grid=4097)
     rt = pc.compose(h_ab, h_ba)  # acts on the second system's coordinates
     dist = pc.sup_distance(rt, pc.identity(nodes=rt.nodes))
     check(6, dist <= 5e-3, f"round-trip distance to identity {dist:.2e} <= 5e-3")
 
 
-def test_criterion_07_uniqueness(quad02):
-    h_a, _ = pc.conjugate_to_standard(quad02, grid=4097, tol=TOL)
-    # the stated second guess: piecewise linear through the anchors with a
-    # node (0.5, 0.5); plus a genuinely kinked admissible start
+def test_criterion_07_uniqueness(quad02, quad02_solved):
+    # the identity; the stated second guess: piecewise linear through the
+    # anchors with a node (0.5, 0.5); and a genuinely kinked admissible start
     literal = pc.make_monotone([-1, 0, 0.5, 1], [-1, 0, 0.5, 1])
     kinked = pc.make_monotone([-1, 0, 0.5, 1], [-1, 0, 0.25, 1])
-    d = max(
-        pc.sup_distance(h_a, pc.conjugate_to_standard(
-            quad02, grid=4097, tol=TOL, initial=g)[0])
-        for g in (literal, kinked)
-    )
-    check(7, d <= 2 * TOL, f"iterates from different starts within {d:.1e} <= 2e-10")
+    nodes = quad02_solved[0].nodes
+    runs = [iterate_contraction(quad02, nodes, start=g)
+            for g in (None, literal, kinked)]
+    steps = min(len(distances) for _, distances, _ in runs)
+    d = max(pc.sup_distance(runs[0][0], h) for h, _, _ in runs[1:])
+    check(7, d <= 2 * TOL and steps >= 2,
+          f"iterates from different starts within {d:.1e} <= 2e-10, "
+          f"each after {steps} >= 2 steps")
 
 
 def test_criterion_08_induced_system(quad02, quad02_solved):

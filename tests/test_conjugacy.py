@@ -4,14 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import iterate_contraction
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
     BranchNotInvertible,
     MapPair,
-    MaxIterExceeded,
     NotInC,
     Word,
+    build_family,
     build_orbit_grid,
     compose,
     conjugate,
@@ -31,6 +32,11 @@ from pconfig import (
 )
 
 TOL = 1e-10
+
+QUASI = {
+    "family": "polynomial", "mode": "quasi",
+    "delta1": [0.5, 0.5], "delta2": [-0.5, 0.45, 0.0, 0.05],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,7 @@ def test_step_rejects_interval_flat_branch():
 
 
 def test_standard_conjugates_to_identity():
-    h, log = conjugate_to_standard(standard_pair(), grid=4097, tol=TOL)
+    h, log = conjugate_to_standard(standard_pair(), grid=4097)
     assert sup_distance(h, identity(nodes=h.nodes)) <= 1e-12
     assert h.fixes_anchors()
 
@@ -140,14 +146,15 @@ def test_quadratic_conjugation_known_value(quad02_solved):
     assert evaluate(h, 0.7) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_convergence_log_contract(quad02_solved):
-    h, log = quad02_solved
-    assert log.iterations <= 45
-    assert all(r <= 0.5 + 1e-3 for r in log.ratios)
-    d = log.distances
-    assert all(d[i + 1] <= d[i] + 1e-15 for i in range(1, len(d) - 1))
+def test_convergence_log_contract(quad02, quad02_solved):
+    _, log = quad02_solved
     assert log.residual <= 10 * TOL
     assert log.grid == 4097
+    _, d, ratios = iterate_contraction(quad02, quad02_solved[0].nodes)
+    assert len(d) >= 2
+    assert len(d) <= 45
+    assert all(r <= 0.5 + 1e-3 for r in ratios)
+    assert all(d[i + 1] <= d[i] + 1e-15 for i in range(1, len(d) - 1))
 
 
 def test_solver_output_strictly_increasing(quad02_solved):
@@ -170,30 +177,53 @@ def test_oracle_consistency_all_short_words(quad02, quad02_solved):
 
 
 def test_oracle_consistency_other_families():
-    from pconfig import build_family
-    quasi = build_family({
-        "family": "polynomial", "mode": "quasi",
-        "delta1": [0.5, 0.5], "delta2": [-0.5, 0.45, 0.0, 0.05],
-    })
-    for pair in (quadratic_pair(-0.15), quasi):
-        h, _ = conjugate_to_standard(pair, grid=4097, tol=TOL)
+    for pair in (quadratic_pair(-0.15), build_family(QUASI)):
+        h, _ = conjugate_to_standard(pair, grid=4097)
         pts = orbit_points(pair, max_len=8, bases=(-1.0, 0.0, 1.0))
         err = max(abs(evaluate(h, x) - y) for x, y in pts)
         assert err <= 1e-3
 
 
+@pytest.mark.parametrize("grid", [1025, 4097])
+@pytest.mark.parametrize("pair", [
+    quadratic_pair(0.2), quadratic_pair(-0.2), build_family(QUASI),
+    perturbed_flat_pair(2), standard_pair(),
+], ids=repr)
+def test_solver_values_are_the_orbit_labels(pair, grid):
+    # h(w_delta(a)) = w_sigma(a): the solver returns the exact labels
+    h, log = conjugate_to_standard(pair, grid=grid)
+    assert h.values.tobytes() == np.linspace(-1.0, 1.0, grid).tobytes()
+    depth = int(np.log2(grid - 1)) - 1
+    x, y = np.array(orbit_points(pair, max_len=depth)).T
+    assert np.array_equal(evaluate(h, x), y)
+    assert log.iterations == 0
+
+
+def test_collided_words_keep_one_label_each():
+    # quadratic(0.249) loses 64 of 4097 nodes to words that collide in
+    # floats near the endpoints; each node keeps the smallest label that
+    # lands on it, the anchors their own, sorted alongside the nodes
+    pair = quadratic_pair(0.249)
+    h, log = conjugate_to_standard(pair, grid=4097)
+    x, y = np.array(orbit_points(pair, max_len=11)).T
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    first = np.r_[True, x[1:] != x[:-1]]
+    labels = y[first]
+    labels[np.searchsorted(x[first], (-1.0, 0.0, 1.0))] = (-1.0, 0.0, 1.0)
+    assert h.grid_size == 4033
+    assert np.array_equal(h.nodes, x[first])
+    assert np.array_equal(h.values, np.sort(labels))
+    assert h.fixes_anchors() and log.strictly_increasing
+
+
 def test_uniqueness_across_initial_guesses(quad02):
-    h_id, _ = conjugate_to_standard(quad02, grid=1025, tol=TOL)
+    nodes = build_orbit_grid(quad02, 9)   # the solver's grid for 1025
+    h_id, d_id, _ = iterate_contraction(quad02, nodes)
     kinked = make_monotone([-1, 0, 0.5, 1], [-1, 0, 0.25, 1])
-    h_k, _ = conjugate_to_standard(quad02, grid=1025, tol=TOL, initial=kinked)
+    h_k, d_k, _ = iterate_contraction(quad02, nodes, start=kinked)
+    assert len(d_id) >= 2 and len(d_k) >= 2
     assert sup_distance(h_id, h_k) <= 2 * TOL
-
-
-def test_max_iter_exceeded_carries_partial_log(quad02):
-    with pytest.raises(MaxIterExceeded) as exc_info:
-        conjugate_to_standard(quad02, grid=1025, tol=1e-12, max_iter=3)
-    log = exc_info.value.log
-    assert log is not None and log.iterations == 3
 
 
 def test_solver_rejects_bad_grid(quad02):
@@ -219,10 +249,10 @@ def test_orbit_grid_size_and_nesting(quad02):
 
 def test_solver_grid_maps_onto_dyadics(quad02_solved):
     # the orbit grid is exactly the preimage of the equispaced dyadic
-    # grid, so the solved values are those dyadics up to tolerance
+    # grid, so the solved values are those dyadics
     h, log = quad02_solved
     dyadics = np.linspace(-1.0, 1.0, h.grid_size)
-    assert np.max(np.abs(h.values - dyadics)) <= 10 * TOL
+    assert np.array_equal(h.values, dyadics)
     assert log.max_local_variation == pytest.approx(2.0 / (h.grid_size - 1),
                                                     rel=1e-6)
     assert log.strictly_increasing
@@ -240,20 +270,20 @@ def test_flat_pair_log_reports_homeomorphism_check(pf2):
 
 
 def test_conjugate_pair_with_itself_is_identity(quad02):
-    h = conjugate(quad02, quad02, grid=1025, tol=TOL)
+    h = conjugate(quad02, quad02, grid=1025)
     assert sup_distance(h, identity(nodes=h.nodes)) <= 2 * TOL
 
 
 def test_conjugate_inverts_direction(quad02, std):
-    h_fwd = conjugate(quad02, std, grid=4097, tol=TOL)
-    h_rev = conjugate(std, quad02, grid=4097, tol=TOL)
+    h_fwd = conjugate(quad02, std, grid=4097)
+    h_rev = conjugate(std, quad02, grid=4097)
     rt = compose(h_rev, h_fwd)
     assert sup_distance(rt, identity(nodes=rt.nodes)) <= 1e-6
     assert evaluate(h_rev, 0.5) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_conjugate_between_quadratics(quad02, quad_m02):
-    h = conjugate(quad02, quad_m02, grid=4097, tol=TOL)
+    h = conjugate(quad02, quad_m02, grid=4097)
     # h(delta1(0)) = tilde_delta1(h(0)) = tilde_delta1(0) = 0.3
     assert evaluate(h, 0.7) == pytest.approx(0.3, abs=1e-8)
 
