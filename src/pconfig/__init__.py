@@ -55,7 +55,6 @@ from .errors import (
     OutOfDomain,
     OutOfRange,
     PConfigError,
-    RangeMismatch,
     ScaleBelowGrid,
 )
 from .families import (

@@ -329,7 +329,8 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
     Raises
     ------
     ValueError
-        If n == k or either index is < 1 (no contradiction derivable).
+        If n == k or either index is < 1 (no contradiction derivable), or
+        m_max < 1 (no dyadic point to check).
     BuildFailure
         If the flat-point families cannot be built with `shape`.
     DyadicCheckFailure
@@ -342,6 +343,8 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
         raise ValueError("need two distinct cells: n != k")
     if n < 1 or k < 1:
         raise ValueError("cell indices must be >= 1")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     try:
         pair_n = perturbed_flat_pair(n, **(shape or {}))
         pair_k = perturbed_flat_pair(k, **(shape or {}))

@@ -131,9 +131,9 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
 
     if target is None:
         target = standard_pair()
-        if pairs_agree_on_grid(pair, target, grid=min(grid, 4097)):
+        if pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
             target = quadratic_pair(0.2)
-    elif pairs_agree_on_grid(pair, target, grid=min(grid, 4097)):
+    elif pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
         warnings.warn(
             "source and target coincide; only the linear solution exists "
             "for this choice", DegenerateChoice)

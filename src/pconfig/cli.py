@@ -18,7 +18,6 @@ atomically (temp file then rename).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -70,11 +69,7 @@ def _load_family(path: str | None) -> families.MapPair:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {p}")
-    try:
-        descriptor = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
-    return families.build_family(descriptor)
+    return families.build_family(p.read_text())
 
 
 def _resolve_target(spec: str | None) -> families.MapPair | None:
@@ -84,10 +79,8 @@ def _resolve_target(spec: str | None) -> families.MapPair | None:
     if spec == "standard":
         return families.standard_pair()
     if spec.startswith("quadratic:"):
-        try:
-            return families.quadratic_pair(float(spec.split(":", 1)[1]))
-        except ValueError as exc:
-            raise UsageError(f"bad quadratic target {spec!r}") from exc
+        return families.build_family(
+            {"family": "quadratic", "c": spec.split(":", 1)[1]})
     return _load_family(spec)
 
 
@@ -126,7 +119,7 @@ def cmd_conjugate(args) -> int:
     source = _load_family(args.config)
     target = _resolve_target(args.target)
     h, log = conjugacy.conjugate_to_standard(source, grid=args.grid)
-    if target is not None and target.family != "standard":
+    if target is not None:
         h = conjugacy.retarget(h, target, grid=args.grid)
     _atomic_write(args.out / "h.csv", funcspace.to_csv(h))
     _atomic_write(args.out / "convergence.json", log.to_json() + "\n")
@@ -182,6 +175,8 @@ def cmd_probe(args) -> int:
 def cmd_nonregular(args) -> int:
     if args.n == args.k or args.n < 1 or args.k < 1:
         raise UsageError("need distinct cell indices --n != --k, both >= 1")
+    if args.m_max < 1:
+        raise UsageError("--m-max must be >= 1")
     try:
         report = analysis.nonregular_experiment(
             args.n, args.k, grid=args.grid, m_max=args.m_max)

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .errors import BranchNotInvertible, NotInC
-from .families import ANCHORS, MapPair
+from .errors import NotInC
+from .families import ANCHORS, MapPair, check_branches_invertible
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -120,37 +120,15 @@ def _require_in_cone(g: MonotoneFunction):
     # nondecreasing holds by MonotoneFunction construction
 
 
-def _check_branches_invertible(pair: MapPair):
-    """Reject pairs whose branches are flat on an interval (no inverse).
-
-    Isolated flat points are fine; a run of more than two consecutive
-    probe points with near-zero derivative (or any negative derivative)
-    is not.
-    """
-    t = np.linspace(-1.0, 1.0, 4097)
-    for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
-        dv = np.asarray(d(t))
-        if np.min(dv) < -1e-12:
-            raise BranchNotInvertible(f"{name} is decreasing somewhere")
-        flat = dv <= 1e-12
-        if flat.any():
-            idx = np.flatnonzero(flat)
-            runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-            if max(len(r) for r in runs) > 2:
-                raise BranchNotInvertible(
-                    f"{name} is flat on an interval; branch not invertible"
-                )
-
-
 def _operator(pair: MapPair, nodes: np.ndarray):
     """The halving pull-back operator T of `pair` on `nodes`.
 
     Returns the step mapping node values of g to node values of Tg.  The
     branch inverses of the nodes are solved once, here; the per-branch
     running maximum repairs 1-ulp bisection wiggle so that monotonicity
-    of the iterates survives exact comparisons.
+    of the iterates survives exact comparisons.  The branches must be
+    invertible (:func:`~pconfig.families.check_branches_invertible`).
     """
-    _check_branches_invertible(pair)
     fz = BranchInverse(pair).pull_back(nodes)
     left = nodes <= 0.0
     fz[left] = np.maximum.accumulate(fz[left])
@@ -179,6 +157,7 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
         If a branch of `pair` is flat on an interval.
     """
     _require_in_cone(g)
+    check_branches_invertible(pair)
     step = _operator(pair, g.nodes)
     return MonotoneFunction(g.nodes, step(g.values),
                             provenance="contraction-step")
@@ -293,9 +272,10 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     Raises
     ------
     BranchNotInvertible
-        If a branch is flat on an interval.
+        If a branch decreases or is flat on an interval.
     """
     depth = _solver_depth(grid)
+    check_branches_invertible(pair)
     nodes = build_orbit_grid(pair, depth)
     h = MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes),
                          provenance="solver")
@@ -331,18 +311,20 @@ def retarget(h_source: MonotoneFunction, target: MapPair,
     """Turn a conjugation of some pair to the standard pair into its
     conjugation to `target`, h_target^{-1} o h_source.
 
-    The target is solved on the same `grid`.  Its inverse is the exact
-    node/value swap, so the composition is node-exact wherever h_source
-    lands on a dyadic value.
+    For the standard target that is h_source itself.  Any other target is
+    solved on the same `grid`; its inverse is the exact node/value swap,
+    so the composition is node-exact wherever h_source lands on a dyadic
+    value.
 
     Raises
     ------
     NotInvertible
         If the target's conjugation has a plateau at grid resolution.
     """
+    if target.family == "standard":
+        return h_source
     h_tgt, _ = conjugate_to_standard(target, grid=grid)
-    h = funcspace.compose(funcspace.invert(h_tgt), h_source)
-    return MonotoneFunction(h.nodes, h.values, provenance="solver")
+    return funcspace.compose(funcspace.invert(h_tgt), h_source)
 
 
 # --------------------------------------------------------------------------

@@ -30,10 +30,6 @@ class OutOfRange(PConfigError):
     """Inverse-evaluation target lies outside the function's range."""
 
 
-class RangeMismatch(PConfigError):
-    """Inner function of a composition takes values outside [-1, 1]."""
-
-
 class NotInvertible(PConfigError):
     """Function has a plateau at grid resolution; no single-valued inverse."""
 

@@ -41,15 +41,15 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import BadSpec
+from .errors import BadSpec, BranchNotInvertible
 from .report import Report
 
 ANCHORS = (-1.0, 0.0, 1.0)
 
-#: Default derivative threshold below which a point counts as flat.
+#: Derivative threshold at or below which a grid point counts as flat.
 FLAT_TOL = 1e-8
 
-#: Default tolerance for exact-identity axiom checks on closed forms.
+#: Tolerance for exact-identity axiom checks on closed forms.
 AXIOM_TOL = 1e-12
 
 DEFAULT_VALIDATION_GRID = 4097
@@ -88,7 +88,7 @@ class MapPair:
         return f"MapPair({json.dumps(self.descriptor())})"
 
 
-def _standard() -> MapPair:
+def standard_pair() -> MapPair:
     return MapPair(
         family="standard",
         params={},
@@ -99,8 +99,10 @@ def _standard() -> MapPair:
     )
 
 
-def _quadratic(c: float) -> MapPair:
+def quadratic_pair(c: float) -> MapPair:
     c = float(c)
+    if not np.isfinite(c):
+        raise BadSpec(f"c must be finite, got {c!r}")
 
     def d1(t):
         t = np.asarray(t, dtype=float)
@@ -120,13 +122,13 @@ def _quadratic(c: float) -> MapPair:
     )
 
 
-def _polynomial(coeffs1, coeffs2=None, mode: str = "full") -> MapPair:
-    a1 = np.asarray(coeffs1, dtype=float)
+def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
+    a1 = np.asarray(delta1, dtype=float)
     if a1.ndim != 1 or a1.size == 0:
         raise BadSpec("delta1 coefficients must be a nonempty flat list")
     da1 = npoly.polyder(a1)
     if mode == "full":
-        if coeffs2 is not None:
+        if delta2 is not None:
             raise BadSpec(
                 "full mode derives delta2 = t - delta1; "
                 "supplying delta2 would silently break additivity"
@@ -138,9 +140,9 @@ def _polynomial(coeffs1, coeffs2=None, mode: str = "full") -> MapPair:
         a2[1] += 1.0
         quasi = False
     elif mode == "quasi":
-        if coeffs2 is None:
+        if delta2 is None:
             raise BadSpec("quasi mode requires explicit delta2 coefficients")
-        a2 = np.asarray(coeffs2, dtype=float)
+        a2 = np.asarray(delta2, dtype=float)
         if a2.ndim != 1 or a2.size == 0:
             raise BadSpec("delta2 coefficients must be a nonempty flat list")
         quasi = True
@@ -186,7 +188,7 @@ def _smoothstep_int(x):
 
 def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise BadSpec(f"perturbed_flat needs integer n >= 1, got {n!r}")
+        raise BadSpec(f"n must be an integer >= 1, got {n!r}")
     shape = dict(shape or {})
     w = float(shape.pop("phi_halfwidth", 0.125))
     p = float(shape.pop("psi_plateau", 0.5))
@@ -278,6 +280,19 @@ def flat_interval(n: int) -> tuple[float, float]:
     return (1.0 - 2.0 ** (-n), 1.0 - 2.0 ** (-(n + 1)))
 
 
+def perturbed_flat_pair(n: int, **shape) -> MapPair:
+    return _perturbed_flat(n, shape or None)
+
+
+#: Each family's constructor; its parameter names are the descriptor keys.
+_FAMILIES = {
+    "standard": standard_pair,
+    "quadratic": quadratic_pair,
+    "polynomial": _polynomial,
+    "perturbed_flat": _perturbed_flat,
+}
+
+
 def build_family(spec) -> MapPair:
     """Build a MapPair from a family descriptor.
 
@@ -287,9 +302,10 @@ def build_family(spec) -> MapPair:
     ``{"family": "perturbed_flat", "n": 2, "shape": {...}}``.
     A JSON string is also accepted.
 
-    Raises :class:`BadSpec` for malformed descriptors.  Descriptors that
-    are well-formed but violate the axioms (e.g. quadratic with |c| > 1/4)
-    build fine and fail :func:`validate` instead.
+    Raises :class:`BadSpec` for malformed descriptors: an unknown family,
+    or a missing, unknown or rejected key, prefixed with the family name.
+    Descriptors that are well-formed but violate the axioms (e.g. quadratic
+    with |c| > 1/4) build fine and fail :func:`validate` instead.
     """
     if isinstance(spec, str):
         try:
@@ -298,57 +314,24 @@ def build_family(spec) -> MapPair:
             raise BadSpec(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise BadSpec(f"descriptor must be a dict, got {type(spec).__name__}")
-    spec = dict(spec)
-    family = spec.pop("family", None)
+    params = dict(spec)
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise BadSpec(f"unknown family {family!r}")
     try:
-        if family == "standard":
-            pair = _standard()
-        elif family == "quadratic":
-            if "c" not in spec:
-                raise BadSpec("quadratic family needs parameter 'c'")
-            pair = _quadratic(spec.pop("c"))
-        elif family == "polynomial":
-            pair = _polynomial(
-                spec.pop("delta1", None) or _fail("polynomial needs 'delta1'"),
-                spec.pop("delta2", None),
-                spec.pop("mode", "full"),
-            )
-        elif family == "perturbed_flat":
-            if "n" not in spec:
-                raise BadSpec("perturbed_flat family needs parameter 'n'")
-            pair = _perturbed_flat(spec.pop("n"), spec.pop("shape", None))
-        else:
-            raise BadSpec(f"unknown family {family!r}")
-    except (TypeError, ValueError) as exc:
-        raise BadSpec(str(exc)) from exc
-    if spec:
-        raise BadSpec(f"unexpected descriptor keys: {sorted(spec)}")
-    return pair
+        return _FAMILIES[family](**params)
+    except (BadSpec, TypeError, ValueError) as exc:
+        raise BadSpec(f"{family}: {exc}") from exc
 
 
-def _fail(msg):
-    raise BadSpec(msg)
-
-
-def standard_pair() -> MapPair:
-    return _standard()
-
-
-def quadratic_pair(c: float) -> MapPair:
-    return _quadratic(c)
-
-
-def perturbed_flat_pair(n: int, **shape) -> MapPair:
-    return _perturbed_flat(n, shape or None)
-
-
-def pairs_agree_on_grid(a: MapPair, b: MapPair, grid: int = DEFAULT_VALIDATION_GRID,
-                        tol: float = 1e-15) -> bool:
-    """True if both branches of `a` and `b` coincide on a uniform grid."""
+def pairs_agree_on_grid(a: MapPair, b: MapPair,
+                        grid: int = DEFAULT_VALIDATION_GRID) -> bool:
+    """True if both branches of `a` and `b` agree to 1e-15 on a uniform
+    grid."""
     t = np.linspace(-1.0, 1.0, grid)
     return bool(
-        np.max(np.abs(a.delta1(t) - b.delta1(t))) <= tol
-        and np.max(np.abs(a.delta2(t) - b.delta2(t))) <= tol
+        np.max(np.abs(a.delta1(t) - b.delta1(t))) <= 1e-15
+        and np.max(np.abs(a.delta2(t) - b.delta2(t))) <= 1e-15
     )
 
 
@@ -403,41 +386,62 @@ class ValidationReport(Report):
     classification: str = field(default="invalid")
 
 
-def guiding_sets(pair: MapPair, flat_tol: float = FLAT_TOL,
-                 grid: int = DEFAULT_VALIDATION_GRID) -> tuple[SetApprox, SetApprox]:
+def _runs(mask: np.ndarray) -> list[np.ndarray]:
+    """The maximal runs of consecutive indices where `mask` holds."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return []
+    return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+
+
+def guiding_sets(pair: MapPair, grid: int = DEFAULT_VALIDATION_GRID,
+                 ) -> tuple[SetApprox, SetApprox]:
     """Grid approximations of both guiding sets.
 
-    Maximal runs of grid points with derivative <= `flat_tol` become closed
+    Maximal runs of grid points with derivative <= FLAT_TOL become closed
     intervals; an interval spanning at most two grid steps is flagged as a
     singleton (grid-level resolution is the honest claim).  For the
     flat-point family the analytically known zero is attached as well.
     """
-    if flat_tol <= 0:
-        raise ValueError("flat_tol must be positive")
     t = np.linspace(-1.0, 1.0, grid)
-    out = []
-    for d_eval in (pair.d_delta1, pair.d_delta2):
-        mask = np.asarray(d_eval(t)) <= flat_tol
-        intervals, flags = [], []
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            # split into runs of consecutive indices
-            splits = np.flatnonzero(np.diff(idx) > 1)
-            for run in np.split(idx, splits + 1):
-                intervals.append((float(t[run[0]]), float(t[run[-1]])))
-                flags.append(bool(run.size <= 3))  # <= 2 grid steps
-        out.append((tuple(intervals), tuple(flags)))
-    exact1 = tuple(pair.flat_points)
-    return (
-        SetApprox(out[0][0], out[0][1], exact1),
-        SetApprox(out[1][0], out[1][1], ()),
-    )
+    sets = []
+    for d_eval, exact in ((pair.d_delta1, pair.flat_points),
+                          (pair.d_delta2, ())):
+        runs = _runs(np.asarray(d_eval(t)) <= FLAT_TOL)
+        sets.append(SetApprox(
+            intervals=tuple((float(t[r[0]]), float(t[r[-1]])) for r in runs),
+            singleton_flags=tuple(bool(r.size <= 3) for r in runs),
+            exact_points=tuple(exact),
+        ))
+    return tuple(sets)
+
+
+def check_branches_invertible(pair: MapPair):
+    """Reject pairs whose branches have no inverse.
+
+    Isolated flat points are fine; a derivative below -AXIOM_TOL, or a run
+    of more than two consecutive grid points with derivative <= AXIOM_TOL,
+    is not.
+
+    Raises
+    ------
+    BranchNotInvertible
+        Naming the branch that decreases or is flat on an interval.
+    """
+    t = np.linspace(-1.0, 1.0, DEFAULT_VALIDATION_GRID)
+    for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
+        dv = np.asarray(d(t))
+        if np.min(dv) < -AXIOM_TOL:
+            raise BranchNotInvertible(f"{name} is decreasing somewhere")
+        if any(r.size > 2 for r in _runs(dv <= AXIOM_TOL)):
+            raise BranchNotInvertible(
+                f"{name} is flat on an interval; branch not invertible")
 
 
 def validate(pair: MapPair, mode: str = "full",
-             grid: int = DEFAULT_VALIDATION_GRID, tol: float = AXIOM_TOL,
-             flat_tol: float = FLAT_TOL) -> ValidationReport:
-    """Check the configuration axioms on a uniform grid plus the anchors.
+             grid: int = DEFAULT_VALIDATION_GRID) -> ValidationReport:
+    """Check the configuration axioms on a uniform grid plus the anchors,
+    to AXIOM_TOL; guiding sets use FLAT_TOL.
 
     ``mode="quasi"`` skips the additivity check only.  Invalid
     configurations produce ``classification="invalid"``, never an error.
@@ -450,7 +454,7 @@ def validate(pair: MapPair, mode: str = "full",
 
     if mode == "full":
         add_dev = float(np.max(np.abs(pair.delta1(t) + pair.delta2(t) - t)))
-        additivity_ok = add_dev <= tol
+        additivity_ok = add_dev <= AXIOM_TOL
     else:
         add_dev = None
         additivity_ok = None
@@ -458,7 +462,7 @@ def validate(pair: MapPair, mode: str = "full",
     d1v = np.asarray(pair.d_delta1(t))
     d2v = np.asarray(pair.d_delta2(t))
     dmin1, dmin2 = float(np.min(d1v)), float(np.min(d2v))
-    derivative_ok = dmin1 >= -tol and dmin2 >= -tol
+    derivative_ok = dmin1 >= -AXIOM_TOL and dmin2 >= -AXIOM_TOL
 
     b = {
         "delta1(-1)": float(pair.delta1(-1.0)),
@@ -469,21 +473,21 @@ def validate(pair: MapPair, mode: str = "full",
         "delta2(1)": float(pair.delta2(1.0)),
     }
     boundary_ok = (
-        abs(b["delta2(-1)"] + 1.0) <= tol
-        and abs(b["delta2(1)"]) <= tol
-        and abs(b["delta1(-1)"]) <= tol
-        and abs(b["delta1(1)"] - 1.0) <= tol
+        abs(b["delta2(-1)"] + 1.0) <= AXIOM_TOL
+        and abs(b["delta2(1)"]) <= AXIOM_TOL
+        and abs(b["delta1(-1)"]) <= AXIOM_TOL
+        and abs(b["delta1(1)"] - 1.0) <= AXIOM_TOL
     )
 
     rho = float(np.max(np.maximum(d1v, d2v)))
-    g1, g2 = guiding_sets(pair, flat_tol=flat_tol, grid=grid)
+    g1, g2 = guiding_sets(pair, grid=grid)
 
     report = ValidationReport(
         family=pair.descriptor(),
         mode=mode,
         grid=int(grid),
-        tol=float(tol),
-        flat_tol=float(flat_tol),
+        tol=AXIOM_TOL,
+        flat_tol=FLAT_TOL,
         additivity_ok=additivity_ok,
         additivity_max_dev=add_dev,
         derivative_nonneg_ok=derivative_ok,

@@ -199,6 +199,12 @@ def test_experiment_rejects_equal_cells():
         nonregular_experiment(0, 1)
 
 
+def test_experiment_rejects_m_max_below_one():
+    # with no dyadic point to check, the deviation table would be empty
+    with pytest.raises(ValueError, match="m_max"):
+        nonregular_experiment(2, 3, grid=1025, m_max=0)
+
+
 def test_experiment_bad_shape_is_build_failure():
     with pytest.raises(BuildFailure):
         nonregular_experiment(2, 3, shape={"phi_halfwidth": 0.25,

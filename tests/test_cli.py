@@ -1,11 +1,13 @@
 """End-to-end command-line runs: exit codes, files, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pconfig.cli import main
+from pconfig.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -105,6 +107,30 @@ def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):
     assert sup_distance(h, identity(nodes=h.nodes)) <= 1e-12
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{c03}"], "delta1 is decreasing somewhere"),
+    (["--config", "{quad}", "--target", "quadratic:0.3"],
+     "delta1 is decreasing somewhere"),
+    (["--config", "{nan}"], "quadratic: c must be finite, got nan"),
+    (["--config", "{quad}", "--target", "quadratic:nan"],
+     "quadratic: c must be finite, got nan"),
+    (["--config", "{std_c}"],
+     "standard: standard_pair() got an unexpected keyword argument 'c'"),
+])
+def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
+                                            tmp_path, capsys):
+    configs = {"c03": {"family": "quadratic", "c": 0.3},
+               "nan": {"family": "quadratic", "c": "nan"},
+               "std_c": {"family": "standard", "c": 1}}
+    for name, descriptor in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(descriptor))
+    paths = {name: tmp_path / f"{name}.json" for name in configs}
+    args = [a.format(quad=quad_config, **paths) for a in args]
+    code = run(["conjugate", *args, "--grid", 1025, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # solve-fe
 # ---------------------------------------------------------------------------
@@ -187,6 +213,16 @@ def test_probe_rejects_csv_with_infinite_slope(tmp_path):
                 "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("row", ["abc,0", "1", "0,0,7"])
+def test_probe_rejects_malformed_csv_row(row, tmp_path, capsys):
+    csv_path = tmp_path / "h.csv"
+    csv_path.write_text(f"t,value\n-1,-1\n{row}\n1,1\n")
+    assert run(["probe", "--h-csv", csv_path, "--scales", "2:4",
+                "--out", tmp_path]) == 2
+    assert f"line 3: expected two numbers 't,value', got {row!r}" \
+        in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # nonregular
 # ---------------------------------------------------------------------------
@@ -203,6 +239,11 @@ def test_nonregular_experiment(tmp_path):
 
 def test_nonregular_equal_cells_exits_two(tmp_path):
     assert run(["nonregular", "--n", 2, "--k", 2, "--out", tmp_path]) == 2
+
+
+def test_nonregular_m_max_zero_exits_two(tmp_path, capsys):
+    assert run(["nonregular", "--m-max", 0, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == "error: --m-max must be >= 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +276,17 @@ def test_unread_option_exits_two(argv, std_config, tmp_path):
 def test_bad_grid_exits_two(std_config, tmp_path):
     assert run(["validate", "--config", std_config, "--grid", 64,
                 "--out", tmp_path]) == 2
+
+
+def test_readme_options_table_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\| (.*) \|$", readme, re.MULTILINE)
+    documented = {name: set(re.findall(r"`(--[a-z0-9-]+)`", options))
+                  for name, options in rows}
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    declared = {
+        name: {o for a in p._actions for o in a.option_strings
+               if o.startswith("--") and o != "--help"}
+        for name, p in subparsers.items()
+    }
+    assert documented == declared

@@ -288,6 +288,32 @@ def test_conjugate_between_quadratics(quad02, quad_m02):
     assert evaluate(h, 0.7) == pytest.approx(0.3, abs=1e-8)
 
 
+def test_conjugate_to_standard_target_solves_once(quad02, std, monkeypatch):
+    # the conjugation of the standard pair to itself is the identity, so
+    # conjugating to the standard pair is the solve of the source alone
+    from pconfig import conjugacy
+    solve = conjugacy.conjugate_to_standard
+    solves = []
+
+    def spy(pair, grid):
+        solves.append(pair)
+        return solve(pair, grid)
+
+    monkeypatch.setattr(conjugacy, "conjugate_to_standard", spy)
+    h = conjugate(quad02, std, grid=4097)
+    assert solves == [quad02]
+    h_std, _ = solve(quad02, grid=4097)
+    assert np.array_equal(h.nodes, h_std.nodes)
+    assert np.array_equal(h.values, h_std.values)
+
+
+def test_solver_names_a_decreasing_branch():
+    # checked before the orbit grid, whose nodes would leave [-1, 1]
+    with pytest.raises(BranchNotInvertible,
+                       match="delta1 is decreasing somewhere"):
+        conjugate_to_standard(quadratic_pair(0.3))
+
+
 # ---------------------------------------------------------------------------
 # the exact oracle
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 from pconfig import (
     BadSpec,
+    BranchNotInvertible,
+    MapPair,
     build_family,
     classify,
     flat_interval,
@@ -17,6 +19,7 @@ from pconfig import (
     standard_pair,
     validate,
 )
+from pconfig.families import check_branches_invertible
 
 GRID = np.linspace(-1.0, 1.0, 2001)
 
@@ -197,6 +200,52 @@ def test_guiding_sets_standard_empty():
     assert g1.is_empty and g2.is_empty
 
 
+def _with_derivatives(d1p, d2p):
+    """A pair given by its branch derivatives only, which is all that the
+    guiding sets and the invertibility check read."""
+    return MapPair(family="custom", params={}, delta1=None, delta2=None,
+                   d_delta1=d1p, d_delta2=d2p)
+
+
+def _flat_on(lo, hi):
+    """A pair whose first branch derivative is 0 on [lo, hi]."""
+    def d1p(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((t >= lo) & (t <= hi), 0.0, 0.5)
+    return _with_derivatives(d1p, lambda t: 1.0 - d1p(t))
+
+
+def test_flat_runs_guiding_sets_and_invertibility():
+    step = 2.0 / 4096
+    # two grid points: a singleton guiding set, and still invertible
+    two = _flat_on(0.5, 0.5 + step)
+    g1, g2 = guiding_sets(two)
+    assert g1.intervals == ((0.5, 0.5 + step),) and g1.singleton_flags == (True,)
+    assert g2.is_empty
+    check_branches_invertible(two)
+    # three grid points: still a singleton, but flat on an interval
+    three = _flat_on(0.5, 0.5 + 2 * step)
+    assert guiding_sets(three)[0].singleton_flags == (True,)
+    with pytest.raises(BranchNotInvertible, match="delta1 is flat"):
+        check_branches_invertible(three)
+    # four grid points: an interval
+    assert guiding_sets(_flat_on(0.5, 0.5 + 3 * step))[0].singleton_flags == (False,)
+    # isolated flat points of the built-in families
+    for p in (quadratic_pair(0.25), perturbed_flat_pair(2)):
+        check_branches_invertible(p)
+
+
+def test_decreasing_branch_is_not_invertible():
+    with pytest.raises(BranchNotInvertible,
+                       match="delta1 is decreasing somewhere"):
+        check_branches_invertible(quadratic_pair(0.3))
+    only_2 = _with_derivatives(lambda t: np.full_like(t, 0.5),
+                               lambda t: 0.5 - np.asarray(t))
+    with pytest.raises(BranchNotInvertible,
+                       match="delta2 is decreasing somewhere"):
+        check_branches_invertible(only_2)
+
+
 def test_classify_consistency():
     for p, expected in [
         (standard_pair(), "regular"),
@@ -265,3 +314,28 @@ def test_build_family_bad_specs():
                       "delta1": [0.5, 0.5]})
     with pytest.raises(BadSpec):
         build_family("not json {")
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"family": "quadratic", "c": "nan"}, "c"),
+    ({"family": "quadratic"}, "c"),
+    ({"family": "quadratic", "c": 0.2, "extra": 1}, "extra"),
+    ({"family": "standard", "c": 1}, "c"),
+    ({"family": "perturbed_flat"}, "n"),
+    ({"family": "perturbed_flat", "n": 0}, "n"),
+    ({"family": "perturbed_flat", "n": 2, "shape": {"bogus": 1}}, "bogus"),
+    ({"family": "polynomial"}, "delta1"),
+    ({"family": "polynomial", "delta1": [0.5, 0.5], "mode": "quasi"}, "delta2"),
+    ({"family": "polynomial", "delta1": [0.5, 0.5], "mode": "cubic"}, "mode"),
+])
+def test_build_family_bad_spec_names_family_and_key(spec, key):
+    with pytest.raises(BadSpec) as exc:
+        build_family(spec)
+    message = str(exc.value)
+    assert message.startswith(f"{spec['family']}: ") and key in message
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+def test_quadratic_rejects_non_finite_c(c):
+    with pytest.raises(BadSpec, match="c must be finite"):
+        quadratic_pair(c)

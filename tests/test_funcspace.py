@@ -280,3 +280,9 @@ def test_csv_header():
 def test_csv_rejects_bad_header():
     with pytest.raises(BadDomain):
         from_csv("x,y\n0,0\n")
+
+
+@pytest.mark.parametrize("row", ["abc,0", "1", "0,0,7"])
+def test_csv_rejects_row_that_is_not_two_numbers(row):
+    with pytest.raises(BadDomain, match=f"line 3: .*{row!r}"):
+        from_csv(f"t,value\n-1,-1\n{row}\n1,1\n")
