@@ -71,6 +71,13 @@ class QuotientProbe(Report):
         return buf.getvalue()
 
 
+def _local_gaps(nodes: np.ndarray, queries) -> np.ndarray:
+    """Width of the node gap that holds each query point (the first or
+    last gap for queries outside the nodes)."""
+    idx = np.clip(np.searchsorted(nodes, queries), 1, nodes.size - 1)
+    return nodes[idx] - nodes[idx - 1]
+
+
 def difference_quotients(f: MonotoneFunction, t0: float,
                          k_min: int = 4, k_max: int = 10) -> QuotientProbe:
     """One-sided quotients |f(t0) - f(t0 -/+ 2^-k)| / 2^-k, k = k_min..k_max.
@@ -90,9 +97,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
 
     # each scale must be resolved by the grid *where it probes*: the gap
     # containing t0 -/+ 2^-k has to be at most half that scale
-    queries = t0 + sign * scales
-    idx = np.clip(np.searchsorted(f.nodes, queries), 1, f.nodes.size - 1)
-    local_gaps = f.nodes[idx] - f.nodes[idx - 1]
+    local_gaps = _local_gaps(f.nodes, t0 + sign * scales)
     bad = scales < 2.0 * local_gaps
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
@@ -258,15 +263,10 @@ def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
                              m_max: int = 8) -> DyadicCheckTable:
     """Tabulate how far h moves the dyadic points 1 - 2^-m."""
     ms = np.arange(1, m_max + 1)
-    pts = 1.0 - 2.0 ** (-ms.astype(float))
+    scales = 2.0 ** (-ms.astype(float))
+    pts = 1.0 - scales
     devs = np.abs(funcspace.evaluate(h, pts) - pts)
-
-    gaps = np.diff(h.nodes)
-    resolved = []
-    for p, m in zip(pts, ms):
-        i = np.searchsorted(h.nodes, p)
-        local = gaps[min(max(i - 1, 0), gaps.size - 1)]
-        resolved.append(bool(2.0 ** (-float(m)) >= local))
+    resolved = scales >= _local_gaps(h.nodes, pts)
 
     x = 0.0
     agrees = True
@@ -279,7 +279,7 @@ def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
         m_values=tuple(int(m) for m in ms),
         points=tuple(float(p) for p in pts),
         deviations=tuple(float(d) for d in devs),
-        resolved=tuple(resolved),
+        resolved=tuple(bool(r) for r in resolved),
         orbit_agrees=agrees,
     )
 

@@ -24,7 +24,7 @@ Families provided:
 ``polynomial``
     delta1 given by coefficients; delta2 derived as t - delta1 in full
     mode, or supplied explicitly in quasi mode.
-``perturbed_flat(n)``
+``perturbed_flat(n)``, n = 1..51
     Equal to the standard delta1 outside J_n = [1 - 2^-n, 1 - 2^-(n+1)]
     and reshaped inside so the derivative vanishes at exactly one interior
     point while staying below 1.  The simplest guided (non-regular)
@@ -100,6 +100,8 @@ def standard_pair() -> MapPair:
 
 
 def quadratic_pair(c: float) -> MapPair:
+    if isinstance(c, bool):
+        raise BadSpec(f"c must be a number, got {c!r}")
     c = float(c)
     if not np.isfinite(c):
         raise BadSpec(f"c must be finite, got {c!r}")
@@ -165,30 +167,43 @@ def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
 
 # --- the flat-point perturbation family -------------------------------------
 #
-# On J_n, reparametrized to u in [0, 1], the derivative is
+# On J_n, reparametrized to u in [0, 1), the derivative is
 #
-#     g(u) = 1/2 - (1/2) phi(u) + m psi(u)
+#     g(u) = 1/2 - phi(u)/2 + m psi(u)
 #
-# phi: C^1 bump, peak exactly 1 at u = 1/2, support [1/2 - w, 1/2 + w],
-#      built from the C^1 smoothstep s(x) = x^2 (3 - 2x); integral = w.
-# psi: C^1 plateau bump on [0, 1/4] with max 1 and plateau fraction p;
-#      integral = (1 + p)/8.
+# phi: bump without plateau on [1/2 - w, 1/2 + w], peak exactly 1 at
+#      u = 1/2; integral = w.
+# psi: bump on [0, 1/4] with plateau fraction p; integral = (1 + p)/8.
 # m = 4 w / (1 + p) restores the integral of g over [0, 1] to exactly 1/2,
 # so delta1 rejoins (t+1)/2 at the right edge of J_n.  The derivative cap
 # delta1' <= 1/2 + m requires m < 1/2, i.e. w < (1 + p)/8.
 
-def _smoothstep(x):
-    return x * x * (3.0 - 2.0 * x)
+def _ramp(x):
+    """The C^1 smoothstep x^2 (3 - 2x), held at 0 below 0 and at 1 above 1,
+    with its integral from 0."""
+    x = np.clip(x, 0.0, 1.0)
+    return x * x * (3.0 - 2.0 * x), x ** 3 - 0.5 * x ** 4
 
 
-def _smoothstep_int(x):
-    # integral of the smoothstep from 0 to x, for x in [0, 1]
-    return x ** 3 - 0.5 * x ** 4
+def _bump(u, a, b, r):
+    """The C^1 bump on [a, b] that rises to 1 over ramps of width r at both
+    ends, with its integral from 0 (for 0 <= a)."""
+    rise, rise_int = _ramp((u - a) / r)
+    fall, fall_int = _ramp((b - u) / r)
+    # without a plateau, b - a - 2r can round to just below 0
+    plateau = np.clip(u - (a + r), 0.0, max(b - a - 2.0 * r, 0.0))
+    return np.minimum(rise, fall), r * rise_int + plateau + r * (0.5 - fall_int)
 
 
 def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise BadSpec(f"n must be an integer >= 1, got {n!r}")
+    left, right = flat_interval(n)
+    width = right - left
+    lam = left + width / 2.0     # the single flat point
+    if not left < lam < right:
+        raise BadSpec(f"n must be at most 51, got {n}: no float lies "
+                      "strictly inside J_n around the flat point")
     shape = dict(shape or {})
     w = float(shape.pop("phi_halfwidth", 0.125))
     p = float(shape.pop("psi_plateau", 0.5))
@@ -205,57 +220,29 @@ def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
             "the branch derivative would reach 1"
         )
     r = (1.0 - p) / 8.0          # psi ramp width in u units
-    left = 1.0 - 2.0 ** (-n)
-    width = 2.0 ** (-(n + 1))
-    lam = left + width / 2.0     # the single flat point
 
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        out = np.full_like(u, 0.5)
-        rise = (u >= 0.5 - w) & (u < 0.5)
-        fall = (u >= 0.5) & (u <= 0.5 + w)
-        out = out - 0.5 * np.where(rise, _smoothstep((u - (0.5 - w)) / w), 0.0)
-        out = out - 0.5 * np.where(fall, _smoothstep((0.5 + w - u) / w), 0.0)
-        up = u < r
-        flat = (u >= r) & (u <= 0.25 - r)
-        down = (u > 0.25 - r) & (u < 0.25)
-        out = out + m * np.where(up, _smoothstep(np.clip(u / r, 0.0, 1.0)), 0.0)
-        out = out + m * np.where(flat, 1.0, 0.0)
-        out = out + m * np.where(
-            down, _smoothstep(np.clip((0.25 - u) / r, 0.0, 1.0)), 0.0)
-        return out
-
-    def g_int(u):
-        # integral of g from 0 to u; all pieces are polynomial
-        u = np.asarray(u, dtype=float)
-        out = 0.5 * u
-        x_rise = np.clip((u - (0.5 - w)) / w, 0.0, 1.0)
-        phi_int = w * _smoothstep_int(x_rise)
-        x_fall = np.clip((u - 0.5) / w, 0.0, 1.0)
-        phi_int = phi_int + w * (0.5 - _smoothstep_int(1.0 - x_fall))
-        out = out - 0.5 * phi_int
-        y_rise = np.clip(u / r, 0.0, 1.0)
-        psi_int = r * _smoothstep_int(y_rise)
-        psi_int = psi_int + np.clip(u - r, 0.0, 0.25 - 2.0 * r)
-        y_fall = np.clip((u - (0.25 - r)) / r, 0.0, 1.0)
-        psi_int = psi_int + r * (0.5 - _smoothstep_int(1.0 - y_fall))
-        out = out + m * psi_int
+    def on_cell(t, integral):
+        # delta1 if `integral`, else delta1': affine off the half-open J_n,
+        # which keeps the right edge exactly on (t+1)/2; the bumps are
+        # evaluated only inside
+        t = np.asarray(t, dtype=float)
+        out = np.asarray((t + 1.0) / 2.0 if integral else np.full(t.shape, 0.5))
+        inside = (t >= left) & (t < right)
+        u = (t[inside] - left) / width
+        phi, phi_int = _bump(u, 0.5 - w, 0.5 + w, w)
+        psi, psi_int = _bump(u, 0.0, 0.25, r)
+        if integral:
+            g_int = u / 2 - phi_int / 2 + m * psi_int
+            out[inside] = (left + 1.0) / 2.0 + width * g_int
+        else:
+            out[inside] = 0.5 - phi / 2 + m * psi
         return out
 
     def d1(t):
-        t = np.asarray(t, dtype=float)
-        base = (t + 1.0) / 2.0
-        # half-open mask keeps the right edge exactly on the affine map
-        inside = (t >= left) & (t < left + width)
-        u = np.clip((t - left) / width, 0.0, 1.0)
-        pert = (left + 1.0) / 2.0 + width * g_int(u)
-        return np.where(inside, pert, base)
+        return on_cell(t, integral=True)
 
     def d1p(t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= left) & (t < left + width)
-        u = np.clip((t - left) / width, 0.0, 1.0)
-        return np.where(inside, g(u), 0.5)
+        return on_cell(t, integral=False)
 
     def d2(t):
         return np.asarray(t, dtype=float) - d1(t)

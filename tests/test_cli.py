@@ -246,6 +246,14 @@ def test_nonregular_m_max_zero_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --m-max must be >= 1\n"
 
 
+def test_nonregular_cell_without_interior_float_exits_two(tmp_path, capsys):
+    assert run(["nonregular", "--n", 52, "--k", 3, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: n must be at most 51, got 52: no float lies strictly inside "
+        "J_n around the flat point\n")
+    assert not (tmp_path / "experiment.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------

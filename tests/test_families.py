@@ -19,7 +19,7 @@ from pconfig import (
     standard_pair,
     validate,
 )
-from pconfig.families import check_branches_invertible
+from pconfig.families import ANCHORS, check_branches_invertible
 
 GRID = np.linspace(-1.0, 1.0, 2001)
 
@@ -68,6 +68,37 @@ def test_perturbed_flat_single_interior_zero():
     assert np.count_nonzero(zero_like) <= 1
 
 
+def test_perturbed_flat_needs_a_float_strictly_inside_the_cell():
+    p = perturbed_flat_pair(51)
+    lo, hi = flat_interval(51)
+    (lam,) = p.flat_points
+    assert lo < lam < hi
+    assert float(p.d_delta1(lam)) == 0.0
+    with pytest.raises(BadSpec, match="n must be at most 51, got 52"):
+        perturbed_flat_pair(52)
+
+
+@pytest.mark.parametrize("pair", [
+    standard_pair(),
+    quadratic_pair(0.2),
+    build_family({"family": "polynomial", "delta1": [0.5, 0.5, 0.1, -0.1]}),
+    perturbed_flat_pair(2),
+    perturbed_flat_pair(3, phi_halfwidth=0.2, psi_plateau=0.9),
+], ids=["standard", "quadratic", "polynomial", "perturbed_flat",
+        "perturbed_flat_shaped"])
+def test_scalar_and_array_evaluation_agree(pair):
+    n = pair.params.get("n", 2)
+    lo, hi = flat_interval(n)
+    lam = lo + (hi - lo) / 2.0
+    points = np.array([*ANCHORS, lo, hi, lam])
+    for name in ("delta1", "delta2", "d_delta1", "d_delta2"):
+        f = getattr(pair, name)
+        array = np.asarray(f(points))
+        scalars = [f(float(x)) for x in points]
+        assert all(np.shape(v) == () for v in scalars)
+        assert np.array_equal(np.array([float(v) for v in scalars]), array)
+
+
 def test_perturbed_flat_derivative_strictly_below_one():
     p = perturbed_flat_pair(3)
     t = np.linspace(-1.0, 1.0, 200001)
@@ -100,6 +131,8 @@ def test_derivatives_match_finite_differences():
         quadratic_pair(-0.15),
         perturbed_flat_pair(2),
         perturbed_flat_pair(3),
+        perturbed_flat_pair(2, phi_halfwidth=0.1, psi_plateau=0.0),
+        perturbed_flat_pair(3, phi_halfwidth=0.2, psi_plateau=0.9),
         build_family({"family": "polynomial",
                       "delta1": [0.5, 0.5, 0.1, -0.1]}),
     ]
@@ -327,6 +360,8 @@ def test_build_family_bad_specs():
     ({"family": "polynomial"}, "delta1"),
     ({"family": "polynomial", "delta1": [0.5, 0.5], "mode": "quasi"}, "delta2"),
     ({"family": "polynomial", "delta1": [0.5, 0.5], "mode": "cubic"}, "mode"),
+    ({"family": "perturbed_flat", "n": True}, "n"),
+    ({"family": "quadratic", "c": True}, "c"),
 ])
 def test_build_family_bad_spec_names_family_and_key(spec, key):
     with pytest.raises(BadSpec) as exc:
