@@ -68,25 +68,41 @@ DEFAULT_GRID = 4097
 #: the extra steps let the bracket collapse to adjacent floats, which the
 #: orbit grid needs near the endpoints.  Bisection stalls stably once the
 #: bracket reaches float resolution, so a fixed count stays deterministic.
+#: Every target is evaluated exactly this many times, whatever the block
+#: size below.
 _BISECT_STEPS = 100
+
+#: Targets bisected together: a block's bracket arrays (64 kB each) stay in
+#: cache through all the steps, where one sweep of a 2^19-target branch per
+#: step streams megabytes through memory.  Smaller blocks call `fun` more
+#: often, which costs the branches with a large per-call overhead.
+_BISECT_BLOCK = 8192
 
 
 def _bisect_increasing(fun, targets: np.ndarray) -> np.ndarray:
-    """Vectorized bisection solve fun(x) = target on [-1, 1].
+    """Vectorized bisection solve fun(x) = target on [-1, 1], for 1-D
+    `targets`.
 
     `fun` must be strictly increasing with fun(-1) <= target <= fun(1).
     Never uses derivatives, so branches with isolated flat points are
-    handled safely.
+    handled safely.  `fun` must act elementwise: the targets are solved in
+    blocks of ``_BISECT_BLOCK``, each through all the steps while its
+    arrays stay in cache, and each target's bracket depends only on its
+    own values, so the result does not depend on the block size.
     """
     t = np.asarray(targets, dtype=float)
-    lo = np.full_like(t, -1.0)
-    hi = np.full_like(t, 1.0)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(fun(mid)) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    out = np.empty_like(t)
+    for start in range(0, t.size, _BISECT_BLOCK):
+        block = t[start:start + _BISECT_BLOCK]
+        lo = np.full_like(block, -1.0)
+        hi = np.full_like(block, 1.0)
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            below = np.asarray(fun(mid)) < block
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out[start:start + _BISECT_BLOCK] = 0.5 * (lo + hi)
+    return out
 
 
 class BranchInverse:

@@ -224,10 +224,14 @@ def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
     def on_cell(t, integral):
         # delta1 if `integral`, else delta1': affine off the half-open J_n,
         # which keeps the right edge exactly on (t+1)/2; the bumps are
-        # evaluated only inside
+        # evaluated only inside, and not at all when no point is: on no
+        # points they still make some fifty numpy calls, and the bisection
+        # calls this once per step and block
         t = np.asarray(t, dtype=float)
         out = np.asarray((t + 1.0) / 2.0 if integral else np.full(t.shape, 0.5))
         inside = (t >= left) & (t < right)
+        if not inside.any():
+            return out
         u = (t[inside] - left) / width
         phi, phi_int = _bump(u, 0.5 - w, 0.5 + w, w)
         psi, psi_int = _bump(u, 0.0, 0.25, r)
@@ -290,14 +294,15 @@ def build_family(spec) -> MapPair:
     A JSON string is also accepted.
 
     Raises :class:`BadSpec` for malformed descriptors: an unknown family,
-    or a missing, unknown or rejected key, prefixed with the family name.
-    Descriptors that are well-formed but violate the axioms (e.g. quadratic
-    with |c| > 1/4) build fine and fail :func:`validate` instead.
+    or a missing, unknown or rejected key (an integer too large for a
+    float included), prefixed with the family name.  Descriptors that are
+    well-formed but violate the axioms (e.g. quadratic with |c| > 1/4)
+    build fine and fail :func:`validate` instead.
     """
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers beyond the digit limit
             raise BadSpec(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise BadSpec(f"descriptor must be a dict, got {type(spec).__name__}")
@@ -309,6 +314,25 @@ def build_family(spec) -> MapPair:
         return _FAMILIES[family](**params)
     except (BadSpec, TypeError, ValueError) as exc:
         raise BadSpec(f"{family}: {exc}") from exc
+    except OverflowError as exc:
+        keys = [k for k, v in params.items() if _exceeds_float(v)]
+        raise BadSpec(f"{family}: {', '.join(keys) or 'a parameter'} holds "
+                      "an integer too large for a float") from exc
+
+
+def _exceeds_float(value) -> bool:
+    """True if a descriptor value holds an integer that no float can
+    hold, such as a JSON integer of some 310 digits or more."""
+    if isinstance(value, dict):
+        return any(map(_exceeds_float, value.values()))
+    if isinstance(value, list):
+        return any(map(_exceeds_float, value))
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return True
+    return False
 
 
 def pairs_agree_on_grid(a: MapPair, b: MapPair,

@@ -62,6 +62,20 @@ def test_validate_unknown_family_exits_two(tmp_path):
     assert run(["validate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    '{"family": "perturbed_flat", "n": 1%s}',
+    '{"family": "quadratic", "c": 1%s}',
+    '{"family": "polynomial", "delta1": [0.5, 1%s]}',
+])
+def test_validate_integer_beyond_float_exits_two(spec, tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(spec % ("0" * 400))
+    assert run(["validate", "--config", cfg, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "too large for a float" in err
+
+
 # ---------------------------------------------------------------------------
 # conjugate
 # ---------------------------------------------------------------------------

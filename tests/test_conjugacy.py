@@ -8,6 +8,7 @@ from conftest import iterate_contraction
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
+    BranchInverse,
     BranchNotInvertible,
     MapPair,
     NotInC,
@@ -30,6 +31,7 @@ from pconfig import (
     sup_distance,
     verify_conjugacy,
 )
+from pconfig.conjugacy import _BISECT_BLOCK, _BISECT_STEPS, _bisect_increasing
 
 TOL = 1e-10
 
@@ -127,6 +129,50 @@ def test_step_rejects_interval_flat_branch():
         contraction_step(identity(257), flat)
     with pytest.raises(BranchNotInvertible):
         conjugate_to_standard(flat)
+
+
+# ---------------------------------------------------------------------------
+# the branch pull-back
+# ---------------------------------------------------------------------------
+
+
+def _bisect_unblocked(fun, targets):
+    """The bisection over all targets at once, one sweep per step."""
+    t = np.asarray(targets, dtype=float)
+    lo = np.full_like(t, -1.0)
+    hi = np.full_like(t, 1.0)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(fun(mid)) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("pair", [quadratic_pair(0.2), quadratic_pair(-0.2),
+                                  perturbed_flat_pair(3)],
+                         ids=["quadratic(0.2)", "quadratic(-0.2)",
+                              "perturbed_flat(3)"])
+@pytest.mark.parametrize("branch", ["delta1", "delta2"])
+def test_blocked_bisection_is_the_unblocked_one(pair, branch):
+    fun = getattr(pair, branch)
+    for size in (0, 1, _BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
+                 3 * _BISECT_BLOCK + 5):
+        targets = fun(np.linspace(-1.0, 1.0, size))
+        evaluated = []
+
+        def counted(x):
+            evaluated.append(np.size(x))
+            return fun(x)
+
+        out = _bisect_increasing(counted, targets)
+        assert out.tobytes() == _bisect_unblocked(fun, targets).tobytes()
+        assert sum(evaluated) == _BISECT_STEPS * size
+
+
+def test_pull_back_of_no_points_is_empty():
+    out = BranchInverse(quadratic_pair(0.2)).pull_back(np.array([]))
+    assert out.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,12 @@ def test_build_family_from_json_string():
     assert float(p.delta1(0.0)) == 0.7
 
 
+def test_build_family_json_integer_beyond_digit_limit():
+    # json.loads refuses integers over 4300 digits with a bare ValueError
+    with pytest.raises(BadSpec):
+        build_family('{"family": "quadratic", "c": 1%s}' % ("0" * 5000))
+
+
 def test_build_family_bad_specs():
     with pytest.raises(BadSpec):
         build_family({"family": "cubic"})
@@ -362,6 +368,9 @@ def test_build_family_bad_specs():
     ({"family": "polynomial", "delta1": [0.5, 0.5], "mode": "cubic"}, "mode"),
     ({"family": "perturbed_flat", "n": True}, "n"),
     ({"family": "quadratic", "c": True}, "c"),
+    ({"family": "perturbed_flat", "n": 10 ** 400}, "n"),
+    ({"family": "quadratic", "c": 10 ** 400}, "c"),
+    ({"family": "polynomial", "delta1": [0.5, 10 ** 400]}, "delta1"),
 ])
 def test_build_family_bad_spec_names_family_and_key(spec, key):
     with pytest.raises(BadSpec) as exc:

@@ -21,6 +21,7 @@ from pconfig import (
     sup_distance,
     to_csv,
 )
+from pconfig.funcspace import _parse_csv_body
 
 # ---------------------------------------------------------------------------
 # hypothesis strategy: random nondecreasing sampled functions
@@ -286,3 +287,25 @@ def test_csv_rejects_bad_header():
 def test_csv_rejects_row_that_is_not_two_numbers(row):
     with pytest.raises(BadDomain, match=f"line 3: .*{row!r}"):
         from_csv(f"t,value\n-1,-1\n{row}\n1,1\n")
+
+
+def test_csv_rows_parse_alike_with_and_without_blank_lines():
+    # a blank line sends the text through the row-by-row scan
+    rng = np.random.default_rng(3)
+    nodes = np.concatenate(([-1.0], np.sort(rng.uniform(-1, 1, 500)), [1.0]))
+    values = np.concatenate(([-1.0], np.sort(rng.uniform(-1, 1, 500)), [1.0]))
+    rows = [f"{t!r},{v:.6e}" for t, v in zip(nodes.tolist(), values.tolist())]
+    text = "t,value\n" + "\n".join(rows)
+    spaced = text.replace("\n", "\n\n", 3) + "\n"
+    assert _parse_csv_body(text) is not None and _parse_csv_body(spaced) is None
+    f = from_csv(text)
+    g = from_csv(spaced)
+    assert f.nodes.tobytes() == g.nodes.tobytes() == nodes.tobytes()
+    assert f.values.tobytes() == g.values.tobytes()
+
+
+def test_csv_short_row_is_named_beside_a_long_one():
+    # a row of one number and a row of three hold two numbers per row
+    # between them
+    with pytest.raises(BadDomain, match="line 3: .*'1'"):
+        from_csv("t,value\n-1,-1\n1\n0,0,7\n1,1\n")
