@@ -44,7 +44,6 @@ from .errors import (
     BadDomain,
     BadSpec,
     BranchNotInvertible,
-    BuildFailure,
     DegenerateChoice,
     DyadicCheckFailure,
     InvalidPair,

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .conjugacy import DEFAULT_GRID, Word, conjugate, orbit_oracle
-from .errors import BadSpec, BuildFailure, DyadicCheckFailure, ScaleBelowGrid
+from .conjugacy import DEFAULT_GRID, conjugate
+from .errors import DyadicCheckFailure, ScaleBelowGrid
 from .families import MapPair, flat_interval, perturbed_flat_pair
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -183,7 +183,9 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     on the quotient.  This is the independent confirmation channel for
     quotient-ratio bands: it measures the true log-periodic oscillation
     around 2^(1-beta) without trusting the fixed-point solver.  At least
-    two scales are needed, so that there is a ratio to enclose.
+    two scales are needed, so that there is a ratio to enclose.  The
+    labels are integers over 2^depth, exact at any depth; only the
+    abscissae are floats.
     """
     if t0 not in (-1.0, 1.0):
         raise ValueError("t0 must be -1 or 1")
@@ -193,9 +195,16 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     sign = -1.0 if t0 == 1.0 else 1.0
 
     def absc(j):
-        # j-th dyadic step inward from the endpoint, pushed to the orbit
-        word = Word.from_dyadic(t0 + sign * j * eps, max_len=depth)
-        return orbit_oracle(pair, word)[0]
+        # the orbit point of label -1 + i 2^-depth, j dyadic steps inward,
+        # 0 < i < 2^(depth+1).  Walking the label back through the standard
+        # maps doubles i mod 2^(depth+1), taking branch 1 while bit `depth`
+        # is set, until i is 2^depth, the label of 0; so the bits of i above
+        # its lowest set bit are the branches from 0, the lowest first
+        i = j if sign > 0 else 2 ** (depth + 1) - j
+        x = 0.0
+        for bit in range((i & -i).bit_length(), depth + 1):
+            x = float(pair.delta1(x) if i >> bit & 1 else pair.delta2(x))
+        return x
 
     def inward(x):
         # distance from the endpoint toward the interior
@@ -314,9 +323,9 @@ class ExperimentReport(Report):
     tol: float
 
 
-def nonregular_experiment(n: int, k: int, shape: dict | None = None,
-                          grid: int = DEFAULT_GRID, tol: float = 1e-3,
-                          m_max: int = 8) -> ExperimentReport:
+def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
+                          tol: float = 1e-3, m_max: int = 8,
+                          ) -> ExperimentReport:
     """Run the non-isomorphism experiment for flat cells J_n vs J_k.
 
     Builds the two flat-point configurations, computes the candidate
@@ -331,8 +340,8 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
     ValueError
         If n == k or either index is < 1 (no contradiction derivable), or
         m_max < 1 (no dyadic point to check).
-    BuildFailure
-        If the flat-point families cannot be built with `shape`.
+    BadSpec
+        If a flat-point family cannot be built, e.g. for n > 51.
     DyadicCheckFailure
         If a dyadic point drifts beyond `tol` (solver misconfiguration).
     NotInvertible
@@ -345,11 +354,8 @@ def nonregular_experiment(n: int, k: int, shape: dict | None = None,
         raise ValueError("cell indices must be >= 1")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    try:
-        pair_n = perturbed_flat_pair(n, **(shape or {}))
-        pair_k = perturbed_flat_pair(k, **(shape or {}))
-    except BadSpec as exc:
-        raise BuildFailure(str(exc)) from exc
+    pair_n = perturbed_flat_pair(n)
+    pair_k = perturbed_flat_pair(k)
 
     h = conjugate(pair_n, pair_k, grid=grid)
 

@@ -83,21 +83,14 @@ def fe_residual(f, pair: MapPair, grid: int = DEFAULT_GRID) -> float:
     return float(np.max(res))
 
 
-def nonlinearity_gap(f: MonotoneFunction, slope: float | None = None) -> float:
-    """Sup over f's nodes of |f(t) - c t|, measuring distance to the
-    linear family.
+def nonlinearity_gap(f: MonotoneFunction) -> float:
+    """Sup over f's nodes of |f(t) - c t| with c = f(1), measuring distance
+    to the linear family.
 
-    The comparator slope defaults to c = f(1): any linear solution that
-    matches f at the pinned node t = 1 has that slope, so this is the
-    deterministic choice.  Pass ``slope="lsq"`` for the least-squares
-    slope instead, or any float for a custom comparator.
+    Any linear solution that matches f at the pinned node t = 1 has the
+    slope f(1), so this is the deterministic comparator.
     """
-    if slope is None:
-        c = float(f.values[-1])
-    elif slope == "lsq":
-        c = float(np.dot(f.nodes, f.values) / np.dot(f.nodes, f.nodes))
-    else:
-        c = float(slope)
+    c = float(f.values[-1])
     return float(np.max(np.abs(f.values - c * f.nodes)))
 
 
@@ -216,8 +209,8 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
     # guard 1-ulp interpolation wiggle; the maps are monotone compositions
     s1 = np.maximum.accumulate(s1)
     s2 = np.maximum.accumulate(s2)
-    sigma1 = MonotoneFunction(t, s1, provenance="induced")
-    sigma2 = MonotoneFunction(t, s2, provenance="induced")
+    sigma1 = MonotoneFunction(t, s1)
+    sigma2 = MonotoneFunction(t, s2)
 
     add_dev = float(np.max(np.abs(s1 + s2 - t)))
     bdev = {

@@ -155,7 +155,7 @@ def cmd_probe(args) -> int:
         h_csv = Path(args.h_csv)
         if not h_csv.exists():
             raise UsageError(f"h CSV not found: {h_csv}")
-        h = funcspace.from_csv(h_csv.read_text(), provenance="file")
+        h = funcspace.from_csv(h_csv.read_text())
     else:
         h, _ = conjugacy.conjugate_to_standard(_load_family(args.config),
                                                grid=args.grid)

@@ -175,8 +175,7 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     _require_in_cone(g)
     check_branches_invertible(pair)
     step = _operator(pair, g.nodes)
-    return MonotoneFunction(g.nodes, step(g.values),
-                            provenance="contraction-step")
+    return MonotoneFunction(g.nodes, step(g.values))
 
 
 # --------------------------------------------------------------------------
@@ -293,8 +292,7 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     depth = _solver_depth(grid)
     check_branches_invertible(pair)
     nodes = build_orbit_grid(pair, depth)
-    h = MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes),
-                         provenance="solver")
+    h = MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes))
     step = _operator(pair, h.nodes)
     log = ConvergenceLog(
         residual=float(np.max(np.abs(step(h.values) - h.values))),
@@ -364,27 +362,6 @@ class Word:
             raise ValueError("branches must be over {1, 2}")
         if self.base not in ANCHORS:
             raise ValueError("base must be one of -1, 0, 1")
-
-    @classmethod
-    def from_dyadic(cls, y: float, max_len: int) -> Word:
-        """The shortest word that carries an anchor to the dyadic `y`
-        through the standard maps.
-
-        Walks y back through the standard maps until it reaches an
-        anchor; every step is exact in floats for dyadic y.  Raises
-        ValueError if that takes more than `max_len` steps.
-        """
-        branches = []
-        while y not in ANCHORS:
-            if y > 0.0:
-                branches.append(1)
-                y = 2.0 * y - 1.0
-            else:
-                branches.append(2)
-                y = 2.0 * y + 1.0
-            if len(branches) > max_len:
-                raise ValueError("y is not dyadic at the requested depth")
-        return cls(tuple(reversed(branches)), base=y)
 
 
 def orbit_oracle(pair: MapPair, word: Word) -> tuple[float, float]:

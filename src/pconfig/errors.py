@@ -71,10 +71,6 @@ class ScaleBelowGrid(PConfigError):
     """Requested probe scale is finer than the local node spacing resolves."""
 
 
-class BuildFailure(PConfigError):
-    """A flat-point family required by an experiment could not be built."""
-
-
 class DyadicCheckFailure(PConfigError):
     """A dyadic fixed point drifted beyond tolerance; solver misconfigured."""
 

@@ -77,7 +77,6 @@ class MapPair:
     d_delta1: Callable
     d_delta2: Callable
     flat_points: tuple = ()
-    quasi: bool = False
 
     def descriptor(self) -> dict:
         """JSON-serializable family descriptor (round-trips through
@@ -140,19 +139,17 @@ def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
         if a2.size < 2:
             a2 = np.pad(a2, (0, 2 - a2.size))
         a2[1] += 1.0
-        quasi = False
     elif mode == "quasi":
         if delta2 is None:
             raise BadSpec("quasi mode requires explicit delta2 coefficients")
         a2 = np.asarray(delta2, dtype=float)
         if a2.ndim != 1 or a2.size == 0:
             raise BadSpec("delta2 coefficients must be a nonempty flat list")
-        quasi = True
     else:
         raise BadSpec(f"mode must be 'full' or 'quasi', got {mode!r}")
     da2 = npoly.polyder(a2)
     params = {"delta1": list(map(float, a1)), "mode": mode}
-    if quasi:
+    if mode == "quasi":
         params["delta2"] = list(map(float, a2))
     return MapPair(
         family="polynomial",
@@ -161,7 +158,6 @@ def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
         delta2=lambda t: npoly.polyval(np.asarray(t, dtype=float), a2),
         d_delta1=lambda t: npoly.polyval(np.asarray(t, dtype=float), da1),
         d_delta2=lambda t: npoly.polyval(np.asarray(t, dtype=float), da2),
-        quasi=quasi,
     )
 
 
@@ -198,7 +194,10 @@ def _bump(u, a, b, r):
 def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise BadSpec(f"n must be an integer >= 1, got {n!r}")
-    left, right = flat_interval(n)
+    try:
+        left, right = flat_interval(n)
+    except OverflowError:
+        raise BadSpec("n holds an integer too large for a float") from None
     width = right - left
     lam = left + width / 2.0     # the single flat point
     if not left < lam < right:

@@ -47,14 +47,10 @@ class MonotoneFunction:
         interpolation stays inside the values it interpolates.
     values :
         Nondecreasing ordinates in [-1, 1], one per node.
-    provenance :
-        Free-form tag recording how the function was produced
-        ("identity", "user", "solver", "composition", "inverse", ...).
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    provenance: str = "user"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -90,10 +86,6 @@ class MonotoneFunction:
         return self.nodes.size
 
     @property
-    def max_node_gap(self) -> float:
-        return float(np.max(np.diff(self.nodes)))
-
-    @property
     def max_local_variation(self) -> float:
         """Largest value increment between adjacent nodes.
 
@@ -125,13 +117,10 @@ class MonotoneFunction:
         return evaluate(self, t)
 
     def __repr__(self):
-        return (
-            f"MonotoneFunction({self.grid_size} nodes, "
-            f"provenance={self.provenance!r})"
-        )
+        return f"MonotoneFunction({self.grid_size} nodes)"
 
 
-def make_monotone(nodes, values, provenance: str = "user") -> MonotoneFunction:
+def make_monotone(nodes, values) -> MonotoneFunction:
     """Validate samples and wrap them as a :class:`MonotoneFunction`.
 
     Parameters
@@ -150,7 +139,7 @@ def make_monotone(nodes, values, provenance: str = "user") -> MonotoneFunction:
         or a slope between adjacent nodes is not finite.
     """
     return MonotoneFunction(np.array(nodes, dtype=float),
-                            np.array(values, dtype=float), provenance)
+                            np.array(values, dtype=float))
 
 
 def identity(n: int = DEFAULT_GRID_SIZE, nodes=None) -> MonotoneFunction:
@@ -158,7 +147,7 @@ def identity(n: int = DEFAULT_GRID_SIZE, nodes=None) -> MonotoneFunction:
     if nodes is None:
         nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
     nodes = np.asarray(nodes, dtype=float)
-    return MonotoneFunction(nodes, nodes.copy(), provenance="identity")
+    return MonotoneFunction(nodes, nodes.copy())
 
 
 def evaluate(f: MonotoneFunction, t):
@@ -213,7 +202,7 @@ def compose(outer: MonotoneFunction, inner: MonotoneFunction) -> MonotoneFunctio
     outer, because every MonotoneFunction's do.
     """
     vals = np.interp(inner.values, outer.nodes, outer.values)
-    return MonotoneFunction(inner.nodes, vals, provenance="composition")
+    return MonotoneFunction(inner.nodes, vals)
 
 
 def invert(f: MonotoneFunction) -> MonotoneFunction:
@@ -232,7 +221,7 @@ def invert(f: MonotoneFunction) -> MonotoneFunction:
         raise NotInvertible("plateau detected: equal consecutive node values")
     if f.values[0] != DOMAIN_LEFT or f.values[-1] != DOMAIN_RIGHT:
         raise NotInvertible("range must be all of [-1, 1] to invert")
-    return MonotoneFunction(f.values, f.nodes, provenance="inverse")
+    return MonotoneFunction(f.values, f.nodes)
 
 
 def sup_distance(f: MonotoneFunction, g: MonotoneFunction) -> float:
@@ -264,7 +253,7 @@ def to_csv(f: MonotoneFunction) -> str:
     return buf.getvalue()
 
 
-def from_csv(text: str, provenance: str = "user") -> MonotoneFunction:
+def from_csv(text: str) -> MonotoneFunction:
     """Parse the CSV format written by :func:`to_csv`; blank lines are
     skipped.
 
@@ -281,7 +270,7 @@ def from_csv(text: str, provenance: str = "user") -> MonotoneFunction:
     flat = _parse_csv_body(text)
     if flat is not None:
         nodes, values = flat.reshape(-1, 2).T.copy()
-        return MonotoneFunction(nodes, values, provenance)
+        return MonotoneFunction(nodes, values)
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].strip() != CSV_HEADER:
         raise BadDomain(f"expected header {CSV_HEADER!r}")
@@ -294,7 +283,7 @@ def from_csv(text: str, provenance: str = "user") -> MonotoneFunction:
         except ValueError:
             raise BadDomain(
                 f"line {i}: expected two numbers 't,value', got {line!r}") from None
-    return MonotoneFunction(np.array(nodes), np.array(values), provenance)
+    return MonotoneFunction(np.array(nodes), np.array(values))
 
 
 #: The characters of the numbers :func:`to_csv` writes.

@@ -17,8 +17,8 @@ class Report:
         return {f.name: _plain(getattr(self, f.name))
                 for f in dataclasses.fields(self)}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _plain(value):

@@ -1,19 +1,23 @@
 """Endpoint regularity probes, oracle enclosures, dyadic checks, and the
 flat-cell non-isomorphism experiment."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pconfig import (
-    BuildFailure,
     DyadicCheckFailure,
     ScaleBelowGrid,
+    Word,
     difference_quotients,
     dyadic_fixed_point_check,
     identity,
     make_monotone,
     nonregular_experiment,
     oracle_quotient_enclosure,
+    orbit_oracle,
+    quadratic_pair,
     standard_pair,
 )
 
@@ -130,6 +134,32 @@ def test_oracle_enclosure_needs_two_scales(quad02):
         oracle_quotient_enclosure(quad02, 1.0, k_min=9, k_max=8)
 
 
+def _inward_distance(pair, t0, j, depth):
+    """Distance from t0 of the orbit point whose label lies j dyadic
+    steps of 2^-depth inward, the label decoded as an exact fraction."""
+    y = Fraction(int(t0)) - int(t0) * Fraction(j, 2 ** depth)
+    branches = []
+    while y not in (-1, 0, 1):
+        branches.append(1 if y > 0 else 2)
+        y = 2 * y - 1 if y > 0 else 2 * y + 1
+    x, _ = orbit_oracle(pair, Word(reversed(branches), base=float(y)))
+    return abs(x - t0)
+
+
+@pytest.mark.parametrize("t0", [1.0, -1.0])
+def test_oracle_enclosure_exact_beyond_float_labels(t0):
+    # at depth 60, 1 - j 2^-60 is no float: each bracket must still be
+    # two adjacent labels whose orbit points straddle the query scale
+    pair, depth = quadratic_pair(-0.1), 60
+    enc = oracle_quotient_enclosure(pair, t0, k_min=6, k_max=8, depth=depth)
+    for k, (lo, hi) in zip(enc.k_values, enc.quotient_bounds):
+        s = 2.0 ** -k
+        lo_j, hi_j = int(lo * s * 2 ** depth), int(hi * s * 2 ** depth)
+        assert hi_j == lo_j + 1
+        assert _inward_distance(pair, t0, lo_j, depth) < s
+        assert _inward_distance(pair, t0, hi_j, depth) >= s
+
+
 def test_oracle_enclosure_standard_pair_is_linear():
     enc = oracle_quotient_enclosure(standard_pair(), 1.0, 4, 8, depth=16)
     for lo, hi in enc.quotient_bounds:
@@ -192,6 +222,18 @@ def test_experiment_1_2():
     assert 0.75 < report.flat_point_k < 0.875
 
 
+@pytest.mark.parametrize("n, k, grid, m_max", [
+    (1, 2, 257, 8), (2, 1, 4097, 12), (2, 3, 4097, 8), (3, 5, 257, 12),
+    (6, 4, 4097, 12),
+])
+def test_experiment_dyadic_points_exact(n, k, grid, m_max):
+    # the flat-point pairs map the dyadic points onto each other exactly,
+    # so h moves none of them by even one ulp
+    report = nonregular_experiment(n, k, grid=grid, m_max=m_max)
+    assert report.max_dyadic_deviation == 0.0
+    assert report.verdict == "non-isomorphic"
+
+
 def test_experiment_rejects_equal_cells():
     with pytest.raises(ValueError):
         nonregular_experiment(2, 2)
@@ -203,12 +245,6 @@ def test_experiment_rejects_m_max_below_one():
     # with no dyadic point to check, the deviation table would be empty
     with pytest.raises(ValueError, match="m_max"):
         nonregular_experiment(2, 3, grid=1025, m_max=0)
-
-
-def test_experiment_bad_shape_is_build_failure():
-    with pytest.raises(BuildFailure):
-        nonregular_experiment(2, 3, shape={"phi_halfwidth": 0.25,
-                                           "psi_plateau": 0.0}, grid=1025)
 
 
 def test_dyadic_deviation_detected_for_wrong_intertwiner(pf2):

@@ -69,11 +69,6 @@ def test_gap_of_solver_output(quad02_solved):
     assert nonlinearity_gap(h) >= 0.19
 
 
-def test_gap_with_least_squares_slope(quad02_solved):
-    h, _ = quad02_solved
-    assert nonlinearity_gap(h, slope="lsq") > 0.1
-
-
 # ---------------------------------------------------------------------------
 # the nonlinear-solution construction
 # ---------------------------------------------------------------------------

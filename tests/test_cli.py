@@ -268,6 +268,13 @@ def test_nonregular_cell_without_interior_float_exits_two(tmp_path, capsys):
     assert not (tmp_path / "experiment.json").exists()
 
 
+def test_nonregular_integer_beyond_float_exits_two(tmp_path, capsys):
+    assert run(["nonregular", "--n", "1" + "0" * 400, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: n holds an integer too large for a float\n")
+    assert not (tmp_path / "experiment.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
