@@ -48,11 +48,8 @@ from .errors import (
     DyadicCheckFailure,
     InvalidPair,
     NonMonotoneInput,
-    NotInC,
     NotInvertible,
-    NotStrictlyIncreasing,
     OutOfDomain,
-    OutOfRange,
     PConfigError,
     ScaleBelowGrid,
 )
@@ -72,7 +69,6 @@ from .families import (
 from .funcspace import (
     MonotoneFunction,
     compose,
-    eval_inverse,
     evaluate,
     from_csv,
     identity,

@@ -51,7 +51,6 @@ class QuotientProbe(Report):
     scales 2^-k, with successive ratios and the log-log fitted exponent."""
 
     t0: float
-    side: str
     k_values: tuple
     scales: tuple
     quotients: tuple
@@ -122,7 +121,6 @@ def difference_quotients(f: MonotoneFunction, t0: float,
         holder = float("nan")
     return QuotientProbe(
         t0=float(t0),
-        side="interior",
         k_values=tuple(int(k) for k in ks),
         scales=tuple(float(s) for s in scales),
         quotients=tuple(float(q) for q in quotients),
@@ -323,17 +321,22 @@ class ExperimentReport(Report):
     tol: float
 
 
+#: How far h may move a dyadic point 1 - 2^-m before
+#: :func:`nonregular_experiment` declares the solver misconfigured.
+DYADIC_TOL = 1e-3
+
+
 def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
-                          tol: float = 1e-3, m_max: int = 8,
-                          ) -> ExperimentReport:
+                          m_max: int = 8) -> ExperimentReport:
     """Run the non-isomorphism experiment for flat cells J_n vs J_k.
 
     Builds the two flat-point configurations, computes the candidate
     intertwiner h through the standard intermediate, certifies the dyadic
-    fixed points up to ``m_max`` within `tol`, and locates the flat points
-    and the image of the first one.  The homeomorphism property of h is
-    checked a posteriori (strict increase at grid level) because the
-    contraction argument alone does not grant it for flat families.
+    fixed points up to ``m_max`` within ``DYADIC_TOL``, and locates the
+    flat points and the image of the first one.  The homeomorphism
+    property of h is checked a posteriori (strict increase at grid level)
+    because the contraction argument alone does not grant it for flat
+    families.
 
     Raises
     ------
@@ -343,7 +346,8 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
     BadSpec
         If a flat-point family cannot be built, e.g. for n > 51.
     DyadicCheckFailure
-        If a dyadic point drifts beyond `tol` (solver misconfiguration).
+        If a dyadic point drifts beyond ``DYADIC_TOL`` (solver
+        misconfiguration).
     NotInvertible
         If the conjugation of the second pair to the standard pair has a
         plateau at grid resolution.
@@ -361,9 +365,9 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
 
     table = dyadic_fixed_point_check(h, pair_n, m_max=m_max)
     max_dev = max(table.deviations)
-    if max_dev > tol:
+    if max_dev > DYADIC_TOL:
         raise DyadicCheckFailure(
-            f"dyadic point deviates by {max_dev:.3g} > tol {tol:.3g}")
+            f"dyadic point deviates by {max_dev:.3g} > tol {DYADIC_TOL:.3g}")
 
     lam = pair_n.flat_points[0]
     omega_pt = pair_k.flat_points[0]
@@ -394,5 +398,5 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
         homeomorphism_ok=bool(homeo),
         verdict="non-isomorphic" if conclusive else "inconclusive",
         grid=int(grid),
-        tol=float(tol),
+        tol=float(DYADIC_TOL),
     )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard
-from .errors import AnchorsNotFixed, DegenerateChoice, InvalidPair, NotStrictlyIncreasing
+from .errors import AnchorsNotFixed, DegenerateChoice, InvalidPair
 from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -115,7 +115,7 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         configuration (guided pairs are rejected here: the construction's
         uniqueness argument needs strictly increasing branches).
     """
-    classification = validate(pair, mode="full").classification
+    classification = validate(pair).classification
     if classification not in ("regular", "quasi-regular"):
         raise InvalidPair(
             f"pair classifies as {classification!r}; "
@@ -191,19 +191,18 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
 
     Raises
     ------
-    NotStrictlyIncreasing
-        If `f` has equal consecutive node values.
     AnchorsNotFixed
         If `f` does not fix the anchors.
+    NotInvertible
+        If `f` has equal consecutive node values.
     """
-    if not f.is_strictly_increasing():
-        raise NotStrictlyIncreasing("solution has a plateau at grid level")
     if not f.fixes_anchors():
         raise AnchorsNotFixed("solution must fix -1, 0 and 1 exactly")
 
     t = np.union1d(np.linspace(-1.0, 1.0, grid), (-1.0, 0.0, 1.0))
-    # exact piecewise-linear inverse: swap nodes and values
-    x = np.interp(t, f.values, f.nodes)
+    # f spans [-1, 1] once it fixes the anchors, so only a plateau stops
+    # the inversion
+    x = funcspace.evaluate(funcspace.invert(f), t)
     s1 = funcspace.evaluate(f, np.clip(pair.delta1(x), -1.0, 1.0))
     s2 = funcspace.evaluate(f, np.clip(pair.delta2(x), -1.0, 1.0))
     # guard 1-ulp interpolation wiggle; the maps are monotone compositions

@@ -54,8 +54,8 @@ def _atomic_write(path: Path, text: str):
 def _check_options(args):
     """Reject option values no subcommand can run with; the output
     directory is created if missing and must be writable."""
-    if args.grid < 257:
-        raise UsageError("--grid must be >= 257")
+    if args.grid < families.MIN_GRID:
+        raise UsageError(f"--grid must be >= {families.MIN_GRID}")
     args.out = Path(args.out)
     args.out.mkdir(parents=True, exist_ok=True)
     if not os.access(args.out, os.W_OK):
@@ -108,8 +108,7 @@ def _parse_scales(text: str) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    report = families.validate(_load_family(args.config), mode="full",
-                               grid=args.grid)
+    report = families.validate(_load_family(args.config), grid=args.grid)
     _atomic_write(args.out / "validation.json", report.to_json() + "\n")
     print(f"classification: {report.classification}")
     return EXIT_OK if report.classification != "invalid" else EXIT_QUANTITATIVE

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .errors import NotInC
-from .families import ANCHORS, MapPair, check_branches_invertible
+from .errors import AnchorsNotFixed
+from .families import ANCHORS, MIN_GRID, MapPair, check_branches_invertible
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -130,12 +130,6 @@ class BranchInverse:
         return out
 
 
-def _require_in_cone(g: MonotoneFunction):
-    if not g.fixes_anchors():
-        raise NotInC("iterate must fix -1, 0 and 1 exactly at nodes")
-    # nondecreasing holds by MonotoneFunction construction
-
-
 def _operator(pair: MapPair, nodes: np.ndarray):
     """The halving pull-back operator T of `pair` on `nodes`.
 
@@ -166,13 +160,14 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
 
     Raises
     ------
-    NotInC
+    AnchorsNotFixed
         If `g` does not fix -1, 0, 1 at nodes (nondecrease is guaranteed
         by the MonotoneFunction invariant).
     BranchNotInvertible
         If a branch of `pair` is flat on an interval.
     """
-    _require_in_cone(g)
+    if not g.fixes_anchors():
+        raise AnchorsNotFixed("iterate must fix -1, 0 and 1 exactly at nodes")
     check_branches_invertible(pair)
     step = _operator(pair, g.nodes)
     return MonotoneFunction(g.nodes, step(g.values))
@@ -212,8 +207,8 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
 
 
 def _solver_depth(grid: int) -> int:
-    if grid < 257:
-        raise ValueError("grid must be >= 257")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}")
     return max(2, int(math.floor(math.log2(grid - 1))) - 1)
 
 

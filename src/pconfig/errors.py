@@ -26,12 +26,13 @@ class OutOfDomain(PConfigError):
     """Evaluation point lies outside [-1, 1]."""
 
 
-class OutOfRange(PConfigError):
-    """Inverse-evaluation target lies outside the function's range."""
-
-
 class NotInvertible(PConfigError):
-    """Function has a plateau at grid resolution; no single-valued inverse."""
+    """Function has a plateau at grid resolution, or its range is not all
+    of [-1, 1]; no inverse on [-1, 1]."""
+
+
+class AnchorsNotFixed(PConfigError):
+    """Function does not fix the points -1, 0 and 1 exactly at nodes."""
 
 
 # --- map-pair errors -------------------------------------------------------
@@ -42,11 +43,6 @@ class BadSpec(PConfigError):
 
 # --- solver errors ---------------------------------------------------------
 
-class NotInC(PConfigError):
-    """Function is not an admissible iterate: it must fix -1, 0, 1 and be
-    nondecreasing."""
-
-
 class BranchNotInvertible(PConfigError):
     """A branch map is not strictly increasing, so its inverse is undefined."""
 
@@ -55,14 +51,6 @@ class BranchNotInvertible(PConfigError):
 
 class InvalidPair(PConfigError):
     """Map pair failed validation and cannot be used for solution building."""
-
-
-class NotStrictlyIncreasing(PConfigError):
-    """Solution candidate has equal consecutive node values."""
-
-
-class AnchorsNotFixed(PConfigError):
-    """Solution candidate does not fix the points -1, 0 and 1."""
 
 
 # --- analysis errors -------------------------------------------------------

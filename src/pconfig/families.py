@@ -53,7 +53,10 @@ FLAT_TOL = 1e-8
 AXIOM_TOL = 1e-12
 
 DEFAULT_VALIDATION_GRID = 4097
-MIN_VALIDATION_GRID = 257  # 2^8 + 1
+
+#: The coarsest grid, 2^8 + 1, that validation, the solver and the command
+#: line accept.
+MIN_GRID = 257
 
 
 # --------------------------------------------------------------------------
@@ -123,10 +126,19 @@ def quadratic_pair(c: float) -> MapPair:
     )
 
 
+def _coefficients(name: str, coeffs) -> np.ndarray:
+    """The polynomial coefficients `coeffs` of the branch `name` as floats,
+    refused unless they form a nonempty flat list of finite numbers."""
+    a = np.asarray(coeffs, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise BadSpec(f"{name} coefficients must be a nonempty flat list")
+    if not np.all(np.isfinite(a)):
+        raise BadSpec(f"{name} coefficients must be finite, got {a.tolist()}")
+    return a
+
+
 def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
-    a1 = np.asarray(delta1, dtype=float)
-    if a1.ndim != 1 or a1.size == 0:
-        raise BadSpec("delta1 coefficients must be a nonempty flat list")
+    a1 = _coefficients("delta1", delta1)
     da1 = npoly.polyder(a1)
     if mode == "full":
         if delta2 is not None:
@@ -142,9 +154,7 @@ def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
     elif mode == "quasi":
         if delta2 is None:
             raise BadSpec("quasi mode requires explicit delta2 coefficients")
-        a2 = np.asarray(delta2, dtype=float)
-        if a2.ndim != 1 or a2.size == 0:
-            raise BadSpec("delta2 coefficients must be a nonempty flat list")
+        a2 = _coefficients("delta2", delta2)
     else:
         raise BadSpec(f"mode must be 'full' or 'quasi', got {mode!r}")
     da2 = npoly.polyder(a2)
@@ -374,17 +384,15 @@ class ValidationReport(Report):
     """Outcome of the axiom checks for a map pair.
 
     ``classification`` is one of ``"regular"``, ``"quasi-regular"``,
-    ``"guided"``, ``"invalid"``.  ``additivity_ok`` is None when the check
-    was skipped (quasi mode).
+    ``"guided"``, ``"invalid"``.
     """
 
     family: dict
-    mode: str
     grid: int
     tol: float
     flat_tol: float
-    additivity_ok: bool | None
-    additivity_max_dev: float | None
+    additivity_ok: bool
+    additivity_max_dev: float
     derivative_nonneg_ok: bool
     derivative_min_1: float
     derivative_min_2: float
@@ -448,26 +456,19 @@ def check_branches_invertible(pair: MapPair):
                 f"{name} is flat on an interval; branch not invertible")
 
 
-def validate(pair: MapPair, mode: str = "full",
-             grid: int = DEFAULT_VALIDATION_GRID) -> ValidationReport:
+def validate(pair: MapPair, grid: int = DEFAULT_VALIDATION_GRID,
+             ) -> ValidationReport:
     """Check the configuration axioms on a uniform grid plus the anchors,
     to AXIOM_TOL; guiding sets use FLAT_TOL.
 
-    ``mode="quasi"`` skips the additivity check only.  Invalid
-    configurations produce ``classification="invalid"``, never an error.
+    Invalid configurations produce ``classification="invalid"``, never an
+    error.
     """
-    if mode not in ("full", "quasi"):
-        raise ValueError(f"mode must be 'full' or 'quasi', got {mode!r}")
-    if grid < MIN_VALIDATION_GRID:
-        raise ValueError(f"validation grid must be >= {MIN_VALIDATION_GRID}")
+    if grid < MIN_GRID:
+        raise ValueError(f"validation grid must be >= {MIN_GRID}")
     t = np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS)
 
-    if mode == "full":
-        add_dev = float(np.max(np.abs(pair.delta1(t) + pair.delta2(t) - t)))
-        additivity_ok = add_dev <= AXIOM_TOL
-    else:
-        add_dev = None
-        additivity_ok = None
+    add_dev = float(np.max(np.abs(pair.delta1(t) + pair.delta2(t) - t)))
 
     d1v = np.asarray(pair.d_delta1(t))
     d2v = np.asarray(pair.d_delta2(t))
@@ -494,11 +495,10 @@ def validate(pair: MapPair, mode: str = "full",
 
     report = ValidationReport(
         family=pair.descriptor(),
-        mode=mode,
         grid=int(grid),
         tol=AXIOM_TOL,
         flat_tol=FLAT_TOL,
-        additivity_ok=additivity_ok,
+        additivity_ok=add_dev <= AXIOM_TOL,
         additivity_max_dev=add_dev,
         derivative_nonneg_ok=derivative_ok,
         derivative_min_1=dmin1,
@@ -516,17 +516,13 @@ def classify(report: ValidationReport) -> str:
     """Classification lattice over a validation report.
 
     * any derivative-sign or boundary failure -> ``invalid``;
-    * additivity checked and true -> ``regular`` (empty guiding sets) or
-      ``guided``;
-    * additivity skipped (quasi mode) -> ``quasi-regular`` or ``guided``;
-    * additivity checked and false -> ``quasi-regular`` if the guiding
-      sets are empty, else ``invalid``.
+    * additive -> ``regular`` (empty guiding sets) or ``guided``;
+    * not additive -> ``quasi-regular`` if the guiding sets are empty,
+      else ``invalid``.
     """
     if not (report.derivative_nonneg_ok and report.boundary_ok):
         return "invalid"
     guiding_empty = report.guiding_set_1.is_empty and report.guiding_set_2.is_empty
     if report.additivity_ok:
         return "regular" if guiding_empty else "guided"
-    if report.additivity_ok is None:
-        return "quasi-regular" if guiding_empty else "guided"
     return "quasi-regular" if guiding_empty else "invalid"

@@ -13,7 +13,8 @@ Conventions
 -----------
 * Node values are compared exactly; interpolated comparisons always carry
   an explicit tolerance argument.
-* Inversion resolves plateaus to the left endpoint (smallest preimage).
+* :func:`invert` is the one inverse; it accepts only strictly increasing
+  functions with full range [-1, 1].
 * All values are immutable after construction and every operation is pure,
   so concurrent read access is safe.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDomain, NonMonotoneInput, NotInvertible, OutOfDomain, OutOfRange
+from .errors import BadDomain, NonMonotoneInput, NotInvertible, OutOfDomain
 
 DOMAIN_LEFT = -1.0
 DOMAIN_RIGHT = 1.0
@@ -165,34 +166,6 @@ def evaluate(f: MonotoneFunction, t):
         raise OutOfDomain(f"evaluation point outside [-1, 1]: {t!r}")
     out = np.interp(arr, f.nodes, f.values)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def eval_inverse(f: MonotoneFunction, y):
-    """Smallest t with f(t) = y (left preimage under plateau ties).
-
-    The result satisfies ``|evaluate(f, result) - y| <= 1e-12`` for y in
-    the range of `f`.
-
-    Raises
-    ------
-    OutOfRange
-        If y lies outside [f(-1), f(1)].
-    """
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(arr < f.values[0]) or np.any(arr > f.values[-1]):
-        raise OutOfRange(f"target outside range [{f.values[0]}, {f.values[-1]}]")
-    # Leftmost index j with values[j] >= y; exact hits return nodes[j],
-    # which is the left end of any plateau at that value.
-    j = np.searchsorted(f.values, arr, side="left")
-    out = np.empty_like(arr)
-    exact = f.values[j] == arr
-    out[exact] = f.nodes[j[exact]]
-    seg = ~exact  # here j >= 1 and values[j-1] < y < values[j]
-    jj = j[seg]
-    v0, v1 = f.values[jj - 1], f.values[jj]
-    t0, t1 = f.nodes[jj - 1], f.nodes[jj]
-    out[seg] = t0 + (arr[seg] - v0) / (v1 - v0) * (t1 - t0)
-    return float(out[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else out
 
 
 def compose(outer: MonotoneFunction, inner: MonotoneFunction) -> MonotoneFunction:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pconfig import analysis
 from pconfig import (
     DyadicCheckFailure,
     ScaleBelowGrid,
@@ -254,11 +255,12 @@ def test_dyadic_deviation_detected_for_wrong_intertwiner(pf2):
     assert max(table.deviations) > 1e-3
 
 
-def test_experiment_flags_dyadic_drift():
+def test_experiment_flags_dyadic_drift(monkeypatch):
     # the deviations of a healthy run are ~0; an unreachable tolerance
     # exercises the misconfiguration guard
+    monkeypatch.setattr(analysis, "DYADIC_TOL", -1.0)
     with pytest.raises(DyadicCheckFailure):
-        nonregular_experiment(2, 3, grid=1025, tol=-1.0)
+        nonregular_experiment(2, 3, grid=1025)
 
 
 def test_experiment_report_serializes():

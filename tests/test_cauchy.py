@@ -8,7 +8,7 @@ from pconfig import (
     AnchorsNotFixed,
     DegenerateChoice,
     InvalidPair,
-    NotStrictlyIncreasing,
+    NotInvertible,
     build_family,
     evaluate,
     fe_residual,
@@ -118,15 +118,15 @@ def test_solve_accepts_quasi_pair(monkeypatch):
         "delta1": [0.5, 0.5],
         "delta2": [-0.5, 0.45, 0.0, 0.05],
     })
-    modes = []
+    calls = []
 
-    def counted(pair, mode="full", **kwargs):
-        modes.append(mode)
-        return validate(pair, mode=mode, **kwargs)
+    def counted(pair, **kwargs):
+        calls.append(pair)
+        return validate(pair, **kwargs)
 
     monkeypatch.setattr(cauchy, "validate", counted)
     cert = solve_nonlinear(quasi, grid=1025)
-    assert modes == ["full"]
+    assert calls == [quasi]
     assert cert.fe_residual <= 1e-2
     assert cert.nonlinearity_gap > 0.0
 
@@ -168,7 +168,7 @@ def test_induced_by_solution_is_standard(quad02, quad02_solved, std):
 
 def test_induced_rejects_plateau(quad02):
     f = make_monotone([-1, -0.5, 0, 1], [-1, 0.0, 0.0, 1])
-    with pytest.raises(NotStrictlyIncreasing):
+    with pytest.raises(NotInvertible):
         induced_system(f, quad02)
 
 

@@ -2,12 +2,15 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pconfig.cli import _build_parser, main
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -130,19 +133,31 @@ def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):
      "quadratic: c must be finite, got nan"),
     (["--config", "{std_c}"],
      "standard: standard_pair() got an unexpected keyword argument 'c'"),
+    (["--config", "{poly_nan}"],
+     "polynomial: delta1 coefficients must be finite, got [0.5, 0.5, nan]"),
+    (["--config", "{poly_inf}"],
+     "polynomial: delta1 coefficients must be finite, got [0.5, 0.5, inf]"),
 ])
 def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
                                             tmp_path, capsys):
     configs = {"c03": {"family": "quadratic", "c": 0.3},
                "nan": {"family": "quadratic", "c": "nan"},
-               "std_c": {"family": "standard", "c": 1}}
+               "std_c": {"family": "standard", "c": 1},
+               # written with the JSON literals NaN and Infinity, which
+               # json reads back as floats
+               "poly_nan": {"family": "polynomial",
+                            "delta1": [0.5, 0.5, float("nan")]},
+               "poly_inf": {"family": "polynomial",
+                            "delta1": [0.5, 0.5, float("inf")]}}
     for name, descriptor in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(descriptor))
     paths = {name: tmp_path / f"{name}.json" for name in configs}
     args = [a.format(quad=quad_config, **paths) for a in args]
-    code = run(["conjugate", *args, "--grid", 1025, "--out", tmp_path / "out"])
+    out = tmp_path / "out"
+    code = run(["conjugate", *args, "--grid", 1025, "--out", out])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +323,7 @@ def test_bad_grid_exits_two(std_config, tmp_path):
 
 
 def test_readme_options_table_matches_parser():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     rows = re.findall(r"^\| `([a-z-]+)` +\| (.*) \|$", readme, re.MULTILINE)
     documented = {name: set(re.findall(r"`(--[a-z0-9-]+)`", options))
                   for name, options in rows}
@@ -319,3 +334,19 @@ def test_readme_options_table_matches_parser():
         for name, p in subparsers.items()
     }
     assert documented == declared
+
+
+def test_readme_error_examples_reproduce(tmp_path, monkeypatch, capsys):
+    # each `$ pconfig ...` line followed by an `error: ...` line, run on the
+    # descriptor files the README's `echo` lines write
+    readme = README.read_text()
+    monkeypatch.chdir(tmp_path)
+    for text, name in re.findall(r"^(?:\$ )?echo '(.*)' > (\S+)$", readme,
+                                 re.MULTILINE):
+        Path(name).write_text(text + "\n")
+    examples = re.findall(r"^\$ pconfig (.*)\n(error: .*)$", readme,
+                          re.MULTILINE)
+    assert examples
+    for command, expected in examples:
+        assert main(shlex.split(command)) == 2, command
+        assert capsys.readouterr().err == expected + "\n", command

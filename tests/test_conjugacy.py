@@ -8,10 +8,10 @@ from conftest import iterate_contraction
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
+    AnchorsNotFixed,
     BranchInverse,
     BranchNotInvertible,
     MapPair,
-    NotInC,
     Word,
     build_family,
     build_orbit_grid,
@@ -63,10 +63,10 @@ def test_step_example_value_quadratic():
 
 def test_step_requires_anchors():
     g = make_monotone([-1, 0, 1], [-1, 0.1, 1])
-    with pytest.raises(NotInC):
+    with pytest.raises(AnchorsNotFixed):
         contraction_step(g, standard_pair())
     shifted = make_monotone([-1, 0.5, 1], [-1, 0.0, 1])  # 0 not a node
-    with pytest.raises(NotInC):
+    with pytest.raises(AnchorsNotFixed):
         contraction_step(shifted, standard_pair())
 
 

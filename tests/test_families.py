@@ -299,13 +299,11 @@ def test_quasi_mode_skips_additivity():
         # delta2(-1) = -1, delta2(1) = 0, increasing, but not t - delta1
         "delta2": [-0.5, 0.45, 0.0, 0.05],
     })
-    rep = validate(quasi, mode="quasi")
-    assert rep.additivity_ok is None
+    # validation checks additivity for every pair: this one fails it and
+    # nothing else, which classifies it quasi-regular
+    rep = validate(quasi)
+    assert rep.additivity_ok is False
     assert rep.classification == "quasi-regular"
-    # in full mode the same pair fails additivity but nothing else
-    rep_full = validate(quasi, mode="full")
-    assert rep_full.additivity_ok is False
-    assert rep_full.classification == "quasi-regular"
 
 
 def test_validate_rejects_tiny_grid():
@@ -371,12 +369,19 @@ def test_build_family_bad_specs():
     ({"family": "perturbed_flat", "n": 10 ** 400}, "n"),
     ({"family": "quadratic", "c": 10 ** 400}, "c"),
     ({"family": "polynomial", "delta1": [0.5, 10 ** 400]}, "delta1"),
+    ({"family": "polynomial", "delta1": [0.5, 0.5, "nan"]}, "delta1"),
+    ({"family": "polynomial", "delta1": [0.5, 0.5, float("inf")]}, "delta1"),
+    ({"family": "polynomial", "mode": "quasi", "delta1": [0.5, 0.5],
+      "delta2": [-0.5, float("nan")]}, "delta2"),
+    # Python's json reads the literals NaN and Infinity
+    ('{"family": "polynomial", "delta1": [0.5, 0.5, NaN]}', "delta1"),
 ])
 def test_build_family_bad_spec_names_family_and_key(spec, key):
     with pytest.raises(BadSpec) as exc:
         build_family(spec)
     message = str(exc.value)
-    assert message.startswith(f"{spec['family']}: ") and key in message
+    family = (json.loads(spec) if isinstance(spec, str) else spec)["family"]
+    assert message.startswith(f"{family}: ") and key in message
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
