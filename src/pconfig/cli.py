@@ -52,14 +52,22 @@ def _atomic_write(path: Path, text: str):
 
 
 def _check_options(args):
-    """Reject option values no subcommand can run with; the output
-    directory is created if missing and must be writable."""
+    """Reject option values no subcommand can run with."""
     if args.grid < families.MIN_GRID:
         raise UsageError(f"--grid must be >= {families.MIN_GRID}")
-    args.out = Path(args.out)
-    args.out.mkdir(parents=True, exist_ok=True)
-    if not os.access(args.out, os.W_OK):
-        raise UsageError(f"output directory {args.out} is not writable")
+
+
+def _output_dir(args) -> Path:
+    """The --out directory, created if missing, which must be writable.
+
+    Each subcommand asks for it once its inputs have loaded, so a command
+    refused for its inputs leaves no directory behind.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK):
+        raise UsageError(f"output directory {out} is not writable")
+    return out
 
 
 def _load_family(path: str | None) -> families.MapPair:
@@ -108,8 +116,10 @@ def _parse_scales(text: str) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    report = families.validate(_load_family(args.config), grid=args.grid)
-    _atomic_write(args.out / "validation.json", report.to_json() + "\n")
+    pair = _load_family(args.config)
+    out = _output_dir(args)
+    report = families.validate(pair, grid=args.grid)
+    _atomic_write(out / "validation.json", report.to_json() + "\n")
     print(f"classification: {report.classification}")
     return EXIT_OK if report.classification != "invalid" else EXIT_QUANTITATIVE
 
@@ -117,12 +127,13 @@ def cmd_validate(args) -> int:
 def cmd_conjugate(args) -> int:
     source = _load_family(args.config)
     target = _resolve_target(args.target)
+    out = _output_dir(args)
     h, log = conjugacy.conjugate_to_standard(source, grid=args.grid)
     if target is not None:
         h = conjugacy.retarget(h, target, grid=args.grid)
-    _atomic_write(args.out / "h.csv", funcspace.to_csv(h))
-    _atomic_write(args.out / "convergence.json", log.to_json() + "\n")
-    _atomic_write(args.out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
+    _atomic_write(out / "h.csv", funcspace.to_csv(h))
+    _atomic_write(out / "convergence.json", log.to_json() + "\n")
+    _atomic_write(out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
     print(f"residual: {log.residual:.3e}  nodes: {log.grid}")
     # the labels increase strictly by construction, so only a retargeted
     # composition that rounds adjacent values together can fail here
@@ -132,10 +143,11 @@ def cmd_conjugate(args) -> int:
 def cmd_solve_fe(args) -> int:
     pair = _load_family(args.config)
     target = _resolve_target(args.target)
+    out = _output_dir(args)
     cert = cauchy.solve_nonlinear(pair, target=target, grid=args.grid)
-    _atomic_write(args.out / "certificate.json", cert.to_json() + "\n")
-    _atomic_write(args.out / "solution.csv", funcspace.to_csv(cert.solution))
-    _atomic_write(args.out / "solution.gp",
+    _atomic_write(out / "certificate.json", cert.to_json() + "\n")
+    _atomic_write(out / "solution.csv", funcspace.to_csv(cert.solution))
+    _atomic_write(out / "solution.gp",
                   _gnuplot_script("solution.csv", "functional-equation solution"))
     print(f"fe_residual: {cert.fe_residual:.3e}  "
           f"nonlinearity_gap: {cert.nonlinearity_gap:.3e}"
@@ -155,17 +167,19 @@ def cmd_probe(args) -> int:
         if not h_csv.exists():
             raise UsageError(f"h CSV not found: {h_csv}")
         h = funcspace.from_csv(h_csv.read_text())
+        out = _output_dir(args)
     else:
-        h, _ = conjugacy.conjugate_to_standard(_load_family(args.config),
-                                               grid=args.grid)
+        pair = _load_family(args.config)
+        out = _output_dir(args)
+        h, _ = conjugacy.conjugate_to_standard(pair, grid=args.grid)
     try:
         probe = analysis.difference_quotients(h, args.t0, k_min, k_max)
     except ScaleBelowGrid as exc:
         print(f"scale/grid mismatch: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _atomic_write(args.out / "probe.json", probe.to_json() + "\n")
-    _atomic_write(args.out / "probe.csv", probe.to_csv())
-    _atomic_write(args.out / "probe.gp",
+    _atomic_write(out / "probe.json", probe.to_json() + "\n")
+    _atomic_write(out / "probe.csv", probe.to_csv())
+    _atomic_write(out / "probe.gp",
                   _gnuplot_script("probe.csv", "difference quotients", "2:3"))
     print(f"holder_exponent: {probe.holder_exponent:.4f}")
     return EXIT_OK
@@ -176,13 +190,14 @@ def cmd_nonregular(args) -> int:
         raise UsageError("need distinct cell indices --n != --k, both >= 1")
     if args.m_max < 1:
         raise UsageError("--m-max must be >= 1")
+    out = _output_dir(args)
     try:
         report = analysis.nonregular_experiment(
             args.n, args.k, grid=args.grid, m_max=args.m_max)
     except DyadicCheckFailure as exc:
         print(f"dyadic check failed: {exc}", file=sys.stderr)
         return EXIT_QUANTITATIVE
-    _atomic_write(args.out / "experiment.json", report.to_json() + "\n")
+    _atomic_write(out / "experiment.json", report.to_json() + "\n")
     print(f"verdict: {report.verdict}")
     return EXIT_OK if report.verdict == "non-isomorphic" else EXIT_QUANTITATIVE
 

@@ -37,16 +37,17 @@ and the labels are sorted alongside the nodes, so h still fixes the
 anchors and increases strictly.
 
 The log's ``residual`` is sup |Th - h| for one application of T, a
-diagnostic that nothing gates on.  T's pull-back is solved by bisection,
-so on a complete grid the residual measures the bisection error of T,
-not an error of h.  Where nodes are lost it is several dyadic steps
-whether or not the sorting put a node off its own words' labels
-(quadratic(0.249) at 2^12+1: 2.3e-3, each node within one step of its
-labels; quadratic(0.2480): 2.0e-3, a node two steps off), so it cannot
-tell the two apart either.  Iterating T from the identity converges at
-ratio 1/2 to the fixed point of that bisection-perturbed T, which is not
-h: for quadratic(0.2) it lies 4.9e-10 off the labels at 2^12+1 nodes
-and 8.9e-8 off at 2^16+1.
+diagnostic that nothing gates on, so :func:`retarget` reads the target's
+h off its labelled orbit and computes no residual for it.  T's pull-back
+is solved by bisection, so on a complete grid the residual measures the
+bisection error of T, not an error of h.  Where nodes are lost it is
+several dyadic steps whether or not the sorting put a node off its own
+words' labels (quadratic(0.249) at 2^12+1: 2.3e-3, each node within one
+step of its labels; quadratic(0.2480): 2.0e-3, a node two steps off), so
+it cannot tell the two apart either.  Iterating T from the identity
+converges at ratio 1/2 to the fixed point of that bisection-perturbed T,
+which is not h: for quadratic(0.2) it lies 4.9e-10 off the labels at
+2^12+1 nodes and 8.9e-8 off at 2^16+1.
 """
 
 from __future__ import annotations
@@ -230,6 +231,15 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
     return np.sort(labels)
 
 
+def _labelled_h(pair: MapPair, grid: int) -> MonotoneFunction:
+    """h of `pair` read off its labelled orbit on the solver's grid for
+    `grid`; the branches must be invertible."""
+    depth = _solver_depth(grid)
+    check_branches_invertible(pair)
+    nodes = build_orbit_grid(pair, depth)
+    return MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes))
+
+
 # --------------------------------------------------------------------------
 # the solver
 # --------------------------------------------------------------------------
@@ -284,10 +294,12 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     BranchNotInvertible
         If a branch decreases or is flat on an interval.
     """
-    depth = _solver_depth(grid)
-    check_branches_invertible(pair)
-    nodes = build_orbit_grid(pair, depth)
-    h = MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes))
+    h = _labelled_h(pair, grid)
+    # T's bisection pull-back is nearly all of this solve's time and serves
+    # only the residual.  It stays, in the source solves of `conjugate` and
+    # `solve_nonlinear` too, because perfbench pins it: test_spans.py
+    # asserts 100 evaluations per node and DeepSolve.required names the
+    # conjugacy.pullback and conjugacy.solve spans (ROADMAP items 6 and 7)
     step = _operator(pair, h.nodes)
     log = ConvergenceLog(
         residual=float(np.max(np.abs(step(h.values) - h.values))),
@@ -320,20 +332,23 @@ def retarget(h_source: MonotoneFunction, target: MapPair,
     """Turn a conjugation of some pair to the standard pair into its
     conjugation to `target`, h_target^{-1} o h_source.
 
-    For the standard target that is h_source itself.  Any other target is
-    solved on the same `grid`; its inverse is the exact node/value swap,
-    so the composition is node-exact wherever h_source lands on a dyadic
-    value.
+    For the standard target that is h_source itself.  For any other
+    target, h_target is read off its labelled orbit on the same `grid`,
+    the values :func:`conjugate_to_standard` returns, with no residual
+    computed; its inverse is the exact node/value swap, so the
+    composition is node-exact wherever h_source lands on a dyadic value.
 
     Raises
     ------
+    BranchNotInvertible
+        If a branch of `target` decreases or is flat on an interval.
     NotInvertible
         If the target's conjugation has a plateau at grid resolution.
     """
     if target.family == "standard":
         return h_source
-    h_tgt, _ = conjugate_to_standard(target, grid=grid)
-    return funcspace.compose(funcspace.invert(h_tgt), h_source)
+    return funcspace.compose(funcspace.invert(_labelled_h(target, grid)),
+                             h_source)
 
 
 # --------------------------------------------------------------------------

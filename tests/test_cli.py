@@ -157,7 +157,29 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     code = run(["conjugate", *args, "--grid", 1025, "--out", out])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not any(out.iterdir())
+    # no file written; a pair refused on loading leaves no directory either
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "{bad}"],
+    ["conjugate", "--config", "{bad}"],
+    ["conjugate", "--config", "{quad}", "--target", "{bad}"],
+    ["solve-fe", "--config", "{bad}"],
+    ["probe", "--config", "{bad}"],
+    ["probe", "--h-csv", "{missing}"],
+    ["nonregular", "--n", "2", "--k", "2"],
+], ids=["validate", "conjugate", "conjugate-target", "solve-fe", "probe",
+        "probe-h-csv", "nonregular"])
+def test_refused_input_leaves_no_output_directory(argv, quad_config,
+                                                  tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"family": "quadratic", "c": "nan"}))
+    argv = [a.format(bad=bad, quad=quad_config,
+                     missing=tmp_path / "missing.csv") for a in argv]
+    out = tmp_path / "fresh" / "out"
+    assert run([*argv, "--grid", 1025, "--out", out]) == 2
+    assert not (tmp_path / "fresh").exists()
 
 
 # ---------------------------------------------------------------------------

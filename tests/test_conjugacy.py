@@ -31,7 +31,12 @@ from pconfig import (
     sup_distance,
     verify_conjugacy,
 )
-from pconfig.conjugacy import _BISECT_BLOCK, _BISECT_STEPS, _bisect_increasing
+from pconfig.conjugacy import (
+    _BISECT_BLOCK,
+    _BISECT_STEPS,
+    _bisect_increasing,
+    retarget,
+)
 
 TOL = 1e-10
 
@@ -351,6 +356,40 @@ def test_conjugate_to_standard_target_solves_once(quad02, std, monkeypatch):
     h_std, _ = solve(quad02, grid=4097)
     assert np.array_equal(h.nodes, h_std.nodes)
     assert np.array_equal(h.values, h_std.values)
+
+
+def _retarget_by_solving(h_source, target, grid):
+    """The retargeting :func:`retarget` replaced: solve the target, its
+    residual included, then invert and compose; the reference for its
+    bits."""
+    return compose(invert(conjugate_to_standard(target, grid=grid)[0]),
+                   h_source)
+
+
+@pytest.mark.parametrize("grid", [4097, 65537])
+@pytest.mark.parametrize("source, target", [
+    (quadratic_pair(0.2), quadratic_pair(-0.2)),
+    (perturbed_flat_pair(2), perturbed_flat_pair(3)),
+], ids=["quadratic", "perturbed_flat"])
+def test_retarget_pulls_back_nothing(source, target, grid, monkeypatch):
+    # only the source's solve bisects, for its log's residual
+    pull_back = BranchInverse.pull_back
+    calls = []
+
+    def spy(self, z):
+        calls.append(self.pair)
+        return pull_back(self, z)
+
+    monkeypatch.setattr(BranchInverse, "pull_back", spy)
+    h_src, _ = conjugate_to_standard(source, grid=grid)
+    calls.clear()
+    retarget(h_src, target, grid=grid)
+    assert calls == []
+    h = conjugate(source, target, grid=grid)
+    assert calls == [source]
+    reference = _retarget_by_solving(h_src, target, grid)
+    assert h.nodes.tobytes() == reference.nodes.tobytes()
+    assert h.values.tobytes() == reference.values.tobytes()
 
 
 def test_solver_names_a_decreasing_branch():

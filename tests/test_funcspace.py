@@ -1,9 +1,11 @@
 """Monotone function calculus: construction, evaluation, inversion,
 composition, the sup metric, and CSV round-trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from pconfig import (
     BadDomain,
@@ -19,7 +21,8 @@ from pconfig import (
     sup_distance,
     to_csv,
 )
-from pconfig.funcspace import _parse_csv_body
+from pconfig import funcspace
+from pconfig.funcspace import _CSV_WRITE_ROWS, _parse_csv_body
 
 # ---------------------------------------------------------------------------
 # hypothesis strategy: random nondecreasing sampled functions
@@ -153,12 +156,25 @@ def test_eval_vectorized():
 # ---------------------------------------------------------------------------
 
 
+#: Two nodes one float apart whose values are 0.67 apart: no abscissa
+#: between them exists, so the round trip through the inverse lands on
+#: one end and misses y = 0 by about 0.3.
+_ONE_ULP_JUMP = make_monotone([-1.0, -0.99, np.nextafter(-0.99, 1.0), 1.0],
+                              [-1.0, -0.3, 0.37, 1.0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(invertible_functions(), st.floats(0.0, 1.0))
+@example(_ONE_ULP_JUMP, 0.5)
 def test_eval_round_trip_on_range(f, alpha):
     y = -1.0 + 2.0 * alpha
     t = evaluate(invert(f), y)
-    assert abs(evaluate(f, t) - y) <= 1e-12
+    # y lies between f's values one float either side of t, the exact
+    # bound for a float t; where f moves less than 1e-12 over that step,
+    # 1e-12 stays the bound
+    below, above = np.clip(np.nextafter(t, [-2.0, 2.0]), -1.0, 1.0)
+    step = evaluate(f, above) - evaluate(f, below)
+    assert abs(evaluate(f, t) - y) <= max(1e-12, step)
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +317,86 @@ def test_csv_short_row_is_named_beside_a_long_one():
     # between them
     with pytest.raises(BadDomain, match="line 3: .*'1'"):
         from_csv("t,value\n-1,-1\n1\n0,0,7\n1,1\n")
+
+
+def _to_csv_row_by_row(f):
+    """The row-by-row writer :func:`to_csv` replaced, the reference for
+    its bytes."""
+    return "t,value\n" + "".join(
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(f.nodes, f.values))
+
+
+def _random_function(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    inner = np.sort(rng.uniform(-1.0, 1.0, rows - 2))
+    return make_monotone(np.concatenate(([-1.0], inner, [1.0])),
+                         np.concatenate(([-1.0], np.sort(inner ** 3), [1.0])))
+
+
+#: Floats whose shortest text needs all 17 digits, subnormals, both zeros
+#: and magnitudes near the ends of the float range.
+_HARD_FLOATS = [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, np.nextafter(1.0, 0.0),
+                5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0,
+                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rows", [2, _CSV_WRITE_ROWS - 1, _CSV_WRITE_ROWS,
+                                  _CSV_WRITE_ROWS + 1, 3 * _CSV_WRITE_ROWS + 5])
+def test_to_csv_writes_the_row_by_row_bytes(rows):
+    rng = np.random.default_rng(rows)
+    numbers = rng.uniform(-1.0, 1.0, 2 * rows)
+    k = min(len(_HARD_FLOATS), numbers.size)
+    numbers[rng.permutation(numbers.size)[:k]] = _HARD_FLOATS[:k]
+    # to_csv reads only the two arrays, so any floats can stand in
+    f = SimpleNamespace(nodes=numbers[:rows], values=numbers[rows:])
+    assert to_csv(f) == _to_csv_row_by_row(f)
+    g = _random_function(rows, seed=rows)
+    assert to_csv(g) == _to_csv_row_by_row(g)
+
+
+def test_csv_round_trip_is_bit_exact_over_many_slices():
+    chars = funcspace._CSV_READ_CHARS
+    f = _random_function(3 * chars // 30 + 5)
+    text = to_csv(f)
+    assert len(text) > 3 * chars
+    # the text to_csv writes takes the vectorised path
+    assert _parse_csv_body(text) is not None
+    g = from_csv(text)
+    assert g.nodes.tobytes() == f.nodes.tobytes()
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("chars", [64, 97, 256])
+def test_csv_slices_parse_like_one_pass(chars, monkeypatch):
+    f = _random_function(1000)
+    text = to_csv(f)
+    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", chars)
+    for form in (text, text[:-1]):   # with and without the last newline
+        flat = _parse_csv_body(form)
+        assert flat is not None
+        assert flat.tobytes() == np.column_stack(
+            (f.nodes, f.values)).ravel().tobytes()
+
+
+def _fixed_width_csv(rows):
+    """Rows of ten characters after the header's eight, so that slices
+    of 30 characters hold rows 1-3, 4-6, ... exactly; and its numbers."""
+    text = "t,value\n" + "".join(f"{i:04d},{-i:04d}\n" for i in range(rows))
+    assert len(text) == 8 + 10 * rows
+    return text, np.array([(i, -i) for i in range(rows)], dtype=float)
+
+
+def test_csv_slice_ending_on_a_newline(monkeypatch):
+    text, numbers = _fixed_width_csv(100)
+    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 30)
+    assert _parse_csv_body(text).tobytes() == numbers.ravel().tobytes()
+
+
+def test_csv_bad_row_in_a_later_slice_is_named_by_its_line(monkeypatch):
+    text, _ = _fixed_width_csv(20)
+    lines = text.splitlines(keepends=True)
+    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 30)
+    # the third slice holds rows 7-9, lines 8-10
+    lines[8] = "0008;-008\n"
+    with pytest.raises(BadDomain, match="^line 9: .*'0008;-008'"):
+        from_csv("".join(lines))
