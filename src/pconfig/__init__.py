@@ -44,8 +44,6 @@ from .errors import (
     BadDomain,
     BadSpec,
     BranchNotInvertible,
-    DegenerateChoice,
-    DyadicCheckFailure,
     InvalidPair,
     NonMonotoneInput,
     NotInvertible,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate
-from .errors import DyadicCheckFailure, ScaleBelowGrid
+from .errors import ScaleBelowGrid
 from .families import MapPair, flat_interval, perturbed_flat_pair
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -322,7 +322,7 @@ class ExperimentReport(Report):
 
 
 #: How far h may move a dyadic point 1 - 2^-m before
-#: :func:`nonregular_experiment` declares the solver misconfigured.
+#: :func:`nonregular_experiment` calls its verdict inconclusive.
 DYADIC_TOL = 1e-3
 
 
@@ -331,9 +331,13 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
     """Run the non-isomorphism experiment for flat cells J_n vs J_k.
 
     Builds the two flat-point configurations, computes the candidate
-    intertwiner h through the standard intermediate, certifies the dyadic
-    fixed points up to ``m_max`` within ``DYADIC_TOL``, and locates the
-    flat points and the image of the first one.  The homeomorphism
+    intertwiner h through the standard intermediate, checks the dyadic
+    fixed points up to ``m_max`` against ``DYADIC_TOL``, and locates the
+    flat points and the image of the first one.  The verdict is
+    ``"non-isomorphic"`` only if no dyadic point drifts beyond
+    ``DYADIC_TOL`` (a drift means a misconfigured solver), the image lies
+    in J_n, the second flat point lies inside J_k and the two cells share
+    no interior; otherwise it is ``"inconclusive"``.  The homeomorphism
     property of h is checked a posteriori (strict increase at grid level)
     because the contraction argument alone does not grant it for flat
     families.
@@ -345,9 +349,6 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
         m_max < 1 (no dyadic point to check).
     BadSpec
         If a flat-point family cannot be built, e.g. for n > 51.
-    DyadicCheckFailure
-        If a dyadic point drifts beyond ``DYADIC_TOL`` (solver
-        misconfiguration).
     NotInvertible
         If the conjugation of the second pair to the standard pair has a
         plateau at grid resolution.
@@ -365,9 +366,6 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
 
     table = dyadic_fixed_point_check(h, pair_n, m_max=m_max)
     max_dev = max(table.deviations)
-    if max_dev > DYADIC_TOL:
-        raise DyadicCheckFailure(
-            f"dyadic point deviates by {max_dev:.3g} > tol {DYADIC_TOL:.3g}")
 
     lam = pair_n.flat_points[0]
     omega_pt = pair_k.flat_points[0]
@@ -381,7 +379,8 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
     # h_n survives the composition, so checking h covers both factors
     homeo = h.is_strictly_increasing()
 
-    conclusive = image_in_cell and omega_interior and disjoint
+    conclusive = (max_dev <= DYADIC_TOL and image_in_cell and omega_interior
+                  and disjoint)
     return ExperimentReport(
         n=int(n),
         k=int(k),

@@ -22,14 +22,13 @@ differentiability guarantee (:func:`induced_system`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard
-from .errors import AnchorsNotFixed, DegenerateChoice, InvalidPair
+from .errors import AnchorsNotFixed, InvalidPair
 from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -105,8 +104,8 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
     coinciding target could only produce the linear solution.
 
     If an explicitly requested target coincides with `pair` on the grid,
-    the identity is returned with ``degenerate=True`` and a
-    :class:`DegenerateChoice` warning.
+    only the linear solution exists: the identity is returned with
+    ``degenerate=True`` and a zero ``nonlinearity_gap``.
 
     Raises
     ------
@@ -127,9 +126,6 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         if pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
             target = quadratic_pair(0.2)
     elif pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
-        warnings.warn(
-            "source and target coincide; only the linear solution exists "
-            "for this choice", DegenerateChoice)
         ident = funcspace.identity(17)
         return SolutionCertificate(
             solution=ident,
@@ -178,8 +174,13 @@ class InducedSystemReport(Report):
     differentiability_claimed: bool = False
 
 
+#: How far the induced maps may miss additivity or the boundary pattern
+#: for :func:`induced_system` to report them satisfied.
+INDUCED_TOL = 1e-3
+
+
 def induced_system(f: MonotoneFunction, pair: MapPair,
-                   grid: int = DEFAULT_GRID, tol: float = 1e-3,
+                   grid: int = DEFAULT_GRID,
                    ) -> tuple[tuple[MonotoneFunction, MonotoneFunction],
                               InducedSystemReport]:
     """Sample the conjugate system sigma_i = f o delta_i o f^{-1}.
@@ -187,7 +188,8 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
     `f` must be strictly increasing at grid level and fix -1, 0, 1
     exactly.  The induced maps are sampled on a uniform grid of `grid`
     nodes; the report records how well they satisfy additivity and the
-    boundary pattern (differentiability is not claimed).
+    boundary pattern, each within ``INDUCED_TOL`` (differentiability is
+    not claimed).
 
     Raises
     ------
@@ -220,10 +222,10 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
     }
     report = InducedSystemReport(
         additivity_max_dev=add_dev,
-        additivity_ok=add_dev <= tol,
+        additivity_ok=add_dev <= INDUCED_TOL,
         boundary_deviations=bdev,
-        boundary_ok=all(v <= tol for v in bdev.values()),
-        tol=float(tol),
+        boundary_ok=all(v <= INDUCED_TOL for v in bdev.values()),
+        tol=float(INDUCED_TOL),
         grid=int(t.size),
     )
     return (sigma1, sigma2), report

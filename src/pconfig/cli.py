@@ -9,10 +9,17 @@ Subcommands
 ``nonregular``  flat-point non-isomorphism experiment
 
 Exit codes: 0 success, 1 quantitative failure, 2 usage or config error.
+Exit 1 is read off each subcommand's result (and a pair that fails
+validation in ``solve-fe``); exit 2 comes only from :func:`main`, for a
+:class:`UsageError` or any other library error, with one ``error:`` line.
+An input file that cannot be read as UTF-8 text, and an output directory
+that cannot be created or written, are usage errors naming the path.
+
 Reports are JSON, function samples are CSV (17 significant digits), and
 each sampled output gets a plain-text gnuplot script next to it; outputs
 are byte-deterministic for identical configs.  All files are written
-atomically (temp file then rename).
+atomically (temp file then rename); the ``--out`` directory is created
+with the first file, so a command refused before it writes leaves none.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, cauchy, conjugacy, families, funcspace
-from .errors import DyadicCheckFailure, InvalidPair, PConfigError, ScaleBelowGrid
+from .errors import InvalidPair, PConfigError
 
 EXIT_OK = 0
 EXIT_QUANTITATIVE = 1
@@ -40,15 +47,33 @@ class UsageError(Exception):
 # --------------------------------------------------------------------------
 
 def _atomic_write(path: Path, text: str):
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write `text` to `path` through a temp file and a rename, creating
+    the directory first."""
+    out = path.parent
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        out.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write to output directory {out}: {exc.strerror}") from exc
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _check_options(args):
@@ -57,27 +82,11 @@ def _check_options(args):
         raise UsageError(f"--grid must be >= {families.MIN_GRID}")
 
 
-def _output_dir(args) -> Path:
-    """The --out directory, created if missing, which must be writable.
-
-    Each subcommand asks for it once its inputs have loaded, so a command
-    refused for its inputs leaves no directory behind.
-    """
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise UsageError(f"output directory {out} is not writable")
-    return out
-
-
 def _load_family(path: str | None) -> families.MapPair:
     """The pair a family descriptor file describes."""
     if path is None:
         raise UsageError("--config <descriptor.json> is required")
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
-    return families.build_family(p.read_text())
+    return families.build_family(_read_text(path))
 
 
 def _resolve_target(spec: str | None) -> families.MapPair | None:
@@ -117,9 +126,8 @@ def _parse_scales(text: str) -> tuple[int, int]:
 
 def cmd_validate(args) -> int:
     pair = _load_family(args.config)
-    out = _output_dir(args)
     report = families.validate(pair, grid=args.grid)
-    _atomic_write(out / "validation.json", report.to_json() + "\n")
+    _atomic_write(args.out / "validation.json", report.to_json() + "\n")
     print(f"classification: {report.classification}")
     return EXIT_OK if report.classification != "invalid" else EXIT_QUANTITATIVE
 
@@ -127,13 +135,12 @@ def cmd_validate(args) -> int:
 def cmd_conjugate(args) -> int:
     source = _load_family(args.config)
     target = _resolve_target(args.target)
-    out = _output_dir(args)
     h, log = conjugacy.conjugate_to_standard(source, grid=args.grid)
     if target is not None:
         h = conjugacy.retarget(h, target, grid=args.grid)
-    _atomic_write(out / "h.csv", funcspace.to_csv(h))
-    _atomic_write(out / "convergence.json", log.to_json() + "\n")
-    _atomic_write(out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
+    _atomic_write(args.out / "h.csv", funcspace.to_csv(h))
+    _atomic_write(args.out / "convergence.json", log.to_json() + "\n")
+    _atomic_write(args.out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
     print(f"residual: {log.residual:.3e}  nodes: {log.grid}")
     # the labels increase strictly by construction, so only a retargeted
     # composition that rounds adjacent values together can fail here
@@ -143,43 +150,30 @@ def cmd_conjugate(args) -> int:
 def cmd_solve_fe(args) -> int:
     pair = _load_family(args.config)
     target = _resolve_target(args.target)
-    out = _output_dir(args)
     cert = cauchy.solve_nonlinear(pair, target=target, grid=args.grid)
-    _atomic_write(out / "certificate.json", cert.to_json() + "\n")
-    _atomic_write(out / "solution.csv", funcspace.to_csv(cert.solution))
-    _atomic_write(out / "solution.gp",
+    _atomic_write(args.out / "certificate.json", cert.to_json() + "\n")
+    _atomic_write(args.out / "solution.csv", funcspace.to_csv(cert.solution))
+    _atomic_write(args.out / "solution.gp",
                   _gnuplot_script("solution.csv", "functional-equation solution"))
     print(f"fe_residual: {cert.fe_residual:.3e}  "
           f"nonlinearity_gap: {cert.nonlinearity_gap:.3e}"
           f"{'  (degenerate)' if cert.degenerate else ''}")
-    if cert.degenerate and not args.allow_degenerate:
-        return EXIT_QUANTITATIVE
     bound = 10.0 * cert.solution.max_local_variation
-    ok = cert.fe_residual <= max(bound, 1e-12)
-    ok = ok and (cert.degenerate or cert.nonlinearity_gap > 0.0)
+    ok = cert.fe_residual <= max(bound, 1e-12) and cert.nonlinearity_gap > 0.0
     return EXIT_OK if ok else EXIT_QUANTITATIVE
 
 
 def cmd_probe(args) -> int:
     k_min, k_max = _parse_scales(args.scales)
     if args.h_csv is not None:
-        h_csv = Path(args.h_csv)
-        if not h_csv.exists():
-            raise UsageError(f"h CSV not found: {h_csv}")
-        h = funcspace.from_csv(h_csv.read_text())
-        out = _output_dir(args)
+        h = funcspace.from_csv(_read_text(args.h_csv))
     else:
         pair = _load_family(args.config)
-        out = _output_dir(args)
         h, _ = conjugacy.conjugate_to_standard(pair, grid=args.grid)
-    try:
-        probe = analysis.difference_quotients(h, args.t0, k_min, k_max)
-    except ScaleBelowGrid as exc:
-        print(f"scale/grid mismatch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _atomic_write(out / "probe.json", probe.to_json() + "\n")
-    _atomic_write(out / "probe.csv", probe.to_csv())
-    _atomic_write(out / "probe.gp",
+    probe = analysis.difference_quotients(h, args.t0, k_min, k_max)
+    _atomic_write(args.out / "probe.json", probe.to_json() + "\n")
+    _atomic_write(args.out / "probe.csv", probe.to_csv())
+    _atomic_write(args.out / "probe.gp",
                   _gnuplot_script("probe.csv", "difference quotients", "2:3"))
     print(f"holder_exponent: {probe.holder_exponent:.4f}")
     return EXIT_OK
@@ -190,14 +184,9 @@ def cmd_nonregular(args) -> int:
         raise UsageError("need distinct cell indices --n != --k, both >= 1")
     if args.m_max < 1:
         raise UsageError("--m-max must be >= 1")
-    out = _output_dir(args)
-    try:
-        report = analysis.nonregular_experiment(
-            args.n, args.k, grid=args.grid, m_max=args.m_max)
-    except DyadicCheckFailure as exc:
-        print(f"dyadic check failed: {exc}", file=sys.stderr)
-        return EXIT_QUANTITATIVE
-    _atomic_write(out / "experiment.json", report.to_json() + "\n")
+    report = analysis.nonregular_experiment(
+        args.n, args.k, grid=args.grid, m_max=args.m_max)
+    _atomic_write(args.out / "experiment.json", report.to_json() + "\n")
     print(f"verdict: {report.verdict}")
     return EXIT_OK if report.verdict == "non-isomorphic" else EXIT_QUANTITATIVE
 
@@ -211,7 +200,7 @@ _SHARED_OPTIONS = {
     "--config": {"help": "family descriptor JSON path"},
     "--grid": {"type": int, "default": conjugacy.DEFAULT_GRID},
     "--target": {"help": "path | standard | quadratic:<c>"},
-    "--out": {"default": "."},
+    "--out": {"type": Path, "default": "."},
 }
 
 
@@ -235,9 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("conjugate", "conjugation to a target pair",
             "--config", "--grid", "--out", "--target")
 
-    p = command("solve-fe", "nonlinear functional-equation solution",
-                "--config", "--grid", "--out", "--target")
-    p.add_argument("--allow-degenerate", action="store_true")
+    command("solve-fe", "nonlinear functional-equation solution",
+            "--config", "--grid", "--out", "--target")
 
     p = command("probe", "endpoint difference-quotient probe",
                 "--config", "--grid", "--out")
@@ -273,15 +261,12 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
+    except (UsageError, PConfigError) as exc:
+        # a pair that fails validation is a result; every other error is
+        # an input the command cannot run with
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DyadicCheckFailure, InvalidPair) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUANTITATIVE
-    except PConfigError as exc:
-        # malformed descriptors, bad domains and the like
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, InvalidPair):
+            return EXIT_QUANTITATIVE
         return EXIT_USAGE
 
 

@@ -3,7 +3,10 @@
 Every error raised by the library derives from :class:`PConfigError`, so
 callers can catch the whole family with one clause.  Validation of map
 pairs does *not* raise: an invalid configuration is a legitimate result
-(classification ``"invalid"``), not an error.
+(classification ``"invalid"``), not an error.  Nor do the other verdicts:
+a drifting dyadic check makes the flat-cell experiment ``"inconclusive"``
+and a coinciding source and target a ``degenerate`` certificate.  The
+library issues no warnings.
 """
 
 
@@ -23,7 +26,7 @@ class BadDomain(PConfigError):
 
 
 class OutOfDomain(PConfigError):
-    """Evaluation point lies outside [-1, 1]."""
+    """Evaluation point lies outside [-1, 1] or is NaN."""
 
 
 class NotInvertible(PConfigError):
@@ -57,14 +60,3 @@ class InvalidPair(PConfigError):
 
 class ScaleBelowGrid(PConfigError):
     """Requested probe scale is finer than the local node spacing resolves."""
-
-
-class DyadicCheckFailure(PConfigError):
-    """A dyadic fixed point drifted beyond tolerance; solver misconfigured."""
-
-
-# --- warnings ---------------------------------------------------------------
-
-class DegenerateChoice(UserWarning):
-    """Source and target pair coincide, so the construction can only return
-    the linear (identity) solution."""

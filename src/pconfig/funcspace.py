@@ -158,10 +158,11 @@ def evaluate(f: MonotoneFunction, t):
     Raises
     ------
     OutOfDomain
-        If any evaluation point lies outside [-1, 1].
+        If any evaluation point lies outside [-1, 1] or is NaN.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < DOMAIN_LEFT) or np.any(arr > DOMAIN_RIGHT):
+    # comparisons with NaN are false, so a NaN fails both
+    if not (np.all(arr >= DOMAIN_LEFT) and np.all(arr <= DOMAIN_RIGHT)):
         raise OutOfDomain(f"evaluation point outside [-1, 1]: {t!r}")
     out = np.interp(arr, f.nodes, f.values)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out

@@ -8,7 +8,6 @@ import pytest
 
 from pconfig import analysis
 from pconfig import (
-    DyadicCheckFailure,
     ScaleBelowGrid,
     Word,
     difference_quotients,
@@ -259,8 +258,9 @@ def test_experiment_flags_dyadic_drift(monkeypatch):
     # the deviations of a healthy run are ~0; an unreachable tolerance
     # exercises the misconfiguration guard
     monkeypatch.setattr(analysis, "DYADIC_TOL", -1.0)
-    with pytest.raises(DyadicCheckFailure):
-        nonregular_experiment(2, 3, grid=1025)
+    report = nonregular_experiment(2, 3, grid=1025)
+    assert report.verdict == "inconclusive"
+    assert report.image_in_cell_n and report.cells_interior_disjoint
 
 
 def test_experiment_report_serializes():

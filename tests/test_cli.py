@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pconfig import analysis
 from pconfig.cli import _build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -169,16 +170,59 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     ["probe", "--config", "{bad}"],
     ["probe", "--h-csv", "{missing}"],
     ["nonregular", "--n", "2", "--k", "2"],
+    # refused after the inputs load: a decreasing branch, a scale below
+    # the grid and a cell without an interior float
+    ["conjugate", "--config", "{c03}"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "8:13"],
+    ["nonregular", "--n", "52"],
 ], ids=["validate", "conjugate", "conjugate-target", "solve-fe", "probe",
-        "probe-h-csv", "nonregular"])
+        "probe-h-csv", "nonregular", "conjugate-c03", "probe-scales",
+        "nonregular-n52"])
 def test_refused_input_leaves_no_output_directory(argv, quad_config,
                                                   tmp_path):
+    from pconfig import funcspace
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "quadratic", "c": "nan"}))
-    argv = [a.format(bad=bad, quad=quad_config,
+    c03 = tmp_path / "c03.json"
+    c03.write_text(json.dumps({"family": "quadratic", "c": 0.3}))
+    coarse = tmp_path / "coarse.csv"
+    coarse.write_text(funcspace.to_csv(funcspace.identity(257)))
+    argv = [a.format(bad=bad, quad=quad_config, c03=c03, coarse=coarse,
                      missing=tmp_path / "missing.csv") for a in argv]
     out = tmp_path / "fresh" / "out"
     assert run([*argv, "--grid", 1025, "--out", out]) == 2
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["validate", "--config", "{missing}"], "{missing}"),
+    (["validate", "--config", "{folder}"], "{folder}"),
+    (["validate", "--config", "{latin1}"], "{latin1}"),
+    (["conjugate", "--config", "{quad}", "--target", "{folder}"], "{folder}"),
+    (["probe", "--h-csv", "{folder}"], "{folder}"),
+    (["probe", "--h-csv", "{latin1}"], "{latin1}"),
+    (["validate", "--config", "{quad}", "--out", "{file}"], "{file}"),
+    (["validate", "--config", "{quad}", "--out", "{file}/out"], "{file}/out"),
+], ids=["config-missing", "config-folder", "config-not-utf8",
+        "target-folder", "h-csv-folder", "h-csv-not-utf8", "out-is-file",
+        "out-under-file"])
+def test_path_fault_exits_two_naming_the_path(argv, path, quad_config,
+                                              tmp_path, capsys):
+    paths = {"missing": tmp_path / "missing.json",
+             "folder": tmp_path / "folder",
+             "latin1": tmp_path / "latin1.txt",
+             "file": tmp_path / "file",
+             "quad": quad_config}
+    paths["folder"].mkdir()
+    paths["latin1"].write_bytes(b"t,value\n-1,-1\n\xe9\n1,1\n")
+    paths["file"].write_text("")
+    argv = [a.format(**paths) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", tmp_path / "fresh"]
+    assert run([*argv, "--grid", 1025]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(**paths) in err
     assert not (tmp_path / "fresh").exists()
 
 
@@ -206,19 +250,12 @@ def test_solve_fe_standard_uses_default_switch(std_config, tmp_path):
 
 
 def test_solve_fe_degenerate_exits_one(std_config, tmp_path):
-    from pconfig import DegenerateChoice
-    with pytest.warns(DegenerateChoice):
-        code = run(["solve-fe", "--config", std_config, "--grid", 1025,
-                    "--target", "standard", "--out", tmp_path])
-    assert code == 1
-
-
-@pytest.mark.filterwarnings("ignore::pconfig.errors.DegenerateChoice")
-def test_solve_fe_degenerate_override(std_config, tmp_path):
     code = run(["solve-fe", "--config", std_config, "--grid", 1025,
-                "--target", "standard", "--allow-degenerate",
-                "--out", tmp_path])
-    assert code == 0
+                "--target", "standard", "--out", tmp_path])
+    assert code == 1
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["degenerate"] is True
+    assert cert["nonlinearity_gap"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +325,16 @@ def test_nonregular_experiment(tmp_path):
     assert report["verdict"] == "non-isomorphic"
 
 
+def test_nonregular_dyadic_drift_exits_one(tmp_path, monkeypatch):
+    # an unreachable tolerance stands in for a solver that moves a dyadic
+    # point: the run is a result, written and inconclusive
+    monkeypatch.setattr(analysis, "DYADIC_TOL", -1.0)
+    out = tmp_path / "out"
+    assert run(["nonregular", "--grid", 1025, "--out", out]) == 1
+    report = json.loads((out / "experiment.json").read_text())
+    assert report["verdict"] == "inconclusive"
+
+
 def test_nonregular_equal_cells_exits_two(tmp_path):
     assert run(["nonregular", "--n", 2, "--k", 2, "--out", tmp_path]) == 2
 
@@ -332,6 +379,7 @@ def test_bad_subcommand_exits_two():
     ["conjugate", "--config", "{std}", "--max-iter", "5"],
     ["solve-fe", "--config", "{std}", "--tol", "1e-3"],
     ["probe", "--config", "{std}", "--max-iter", "5"],
+    ["solve-fe", "--config", "{std}", "--allow-degenerate"],
 ])
 def test_unread_option_exits_two(argv, std_config, tmp_path):
     # each subcommand declares only the options it reads
@@ -356,6 +404,21 @@ def test_readme_options_table_matches_parser():
         for name, p in subparsers.items()
     }
     assert documented == declared
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # the `echo` line writes the descriptor, and each `pconfig` line of
+    # the block must succeed on it
+    block = re.search(r"^## Command line\n.*?```sh\n(.*?)```",
+                      README.read_text(), re.MULTILINE | re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    for text, name in re.findall(r"^echo '(.*)' > (\S+)$", block,
+                                 re.MULTILINE):
+        Path(name).write_text(text + "\n")
+    commands = re.findall(r"^pconfig (.*)$", block, re.MULTILINE)
+    assert len(commands) == 5
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
 
 
 def test_readme_error_examples_reproduce(tmp_path, monkeypatch, capsys):

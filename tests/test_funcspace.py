@@ -141,8 +141,10 @@ def test_eval_exact_at_nodes():
 
 
 def test_eval_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        evaluate(identity(), 1.5)
+    # NaN lies nowhere in [-1, 1], alone or inside an array
+    for t in (1.5, np.nan, np.array([0.0, np.nan])):
+        with pytest.raises(OutOfDomain):
+            evaluate(identity(5), t)
 
 
 def test_eval_vectorized():
