@@ -59,7 +59,7 @@ print()
 
 print("the system induced by a solution: sigma_i = f o delta_i o f^(-1)")
 print("-" * 64)
-(s1, s2), report = induced_system(cert.solution, quad, grid=4097)
+(s1, s2), report = induced_system(cert.solution, quad)
 t = np.linspace(-1, 1, 5)
 print("  t        sigma1(t)    (t+1)/2     sigma2(t)    (t-1)/2")
 for ti in t:

@@ -98,10 +98,11 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
     """Produce a continuous nonlinear solution for the given pair.
 
     The solution is the conjugation of `pair` to `target`; the target must
-    be additive so that the sum of the intertwining identities collapses.
-    By default the target is the standard pair; if `pair` itself is the
-    standard pair the default target switches to quadratic(0.2), since a
-    coinciding target could only produce the linear solution.
+    be additive so that the sum of the intertwining identities collapses,
+    and an explicit target that is not is refused before anything is
+    solved.  By default the target is the standard pair; if `pair` itself
+    is the standard pair the default target switches to quadratic(0.2),
+    since a coinciding target could only produce the linear solution.
 
     If an explicitly requested target coincides with `pair` on the grid,
     only the linear solution exists: the identity is returned with
@@ -112,7 +113,8 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
     InvalidPair
         If `pair` fails validation as a regular or quasi-regular
         configuration (guided pairs are rejected here: the construction's
-        uniqueness argument needs strictly increasing branches).
+        uniqueness argument needs strictly increasing branches), or if
+        an explicit `target` is not additive.
     """
     classification = validate(pair).classification
     if classification not in ("regular", "quasi-regular"):
@@ -123,9 +125,11 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
 
     if target is None:
         target = standard_pair()
-        if pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
+        if pairs_agree_on_grid(pair, target):
             target = quadratic_pair(0.2)
-    elif pairs_agree_on_grid(pair, target, grid=min(grid, DEFAULT_GRID)):
+    elif not validate(target).additivity_ok:
+        raise InvalidPair("target is not additive: delta1 + delta2 != t")
+    elif pairs_agree_on_grid(pair, target):
         ident = funcspace.identity(17)
         return SolutionCertificate(
             solution=ident,
@@ -180,16 +184,15 @@ INDUCED_TOL = 1e-3
 
 
 def induced_system(f: MonotoneFunction, pair: MapPair,
-                   grid: int = DEFAULT_GRID,
                    ) -> tuple[tuple[MonotoneFunction, MonotoneFunction],
                               InducedSystemReport]:
     """Sample the conjugate system sigma_i = f o delta_i o f^{-1}.
 
     `f` must be strictly increasing at grid level and fix -1, 0, 1
-    exactly.  The induced maps are sampled on a uniform grid of `grid`
-    nodes; the report records how well they satisfy additivity and the
-    boundary pattern, each within ``INDUCED_TOL`` (differentiability is
-    not claimed).
+    exactly.  The induced maps are sampled on the uniform grid of
+    DEFAULT_GRID nodes; the report records how well they satisfy
+    additivity and the boundary pattern, each within ``INDUCED_TOL``
+    (differentiability is not claimed).
 
     Raises
     ------
@@ -201,7 +204,7 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
     if not f.fixes_anchors():
         raise AnchorsNotFixed("solution must fix -1, 0 and 1 exactly")
 
-    t = np.union1d(np.linspace(-1.0, 1.0, grid), (-1.0, 0.0, 1.0))
+    t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
     # f spans [-1, 1] once it fixes the anchors, so only a plateau stops
     # the inversion
     x = funcspace.evaluate(funcspace.invert(f), t)

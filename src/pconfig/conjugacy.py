@@ -59,11 +59,10 @@ import numpy as np
 
 from . import funcspace
 from .errors import AnchorsNotFixed
-from .families import ANCHORS, MIN_GRID, MapPair, check_branches_invertible
+from .families import (ANCHORS, DEFAULT_GRID, MIN_GRID, MapPair,
+                       check_branches_invertible)
 from .funcspace import MonotoneFunction
 from .report import Report
-
-DEFAULT_GRID = 4097
 
 #: Bisection step count: 50 steps already bracket to 2^-49 * 2 < 1e-14;
 #: the extra steps let the bracket collapse to adjacent floats, which the

@@ -22,14 +22,15 @@ Families provided:
     |c| < 1/4; the canonical nonstandard regular example because orbits
     and derivatives have simple closed forms.
 ``polynomial``
-    delta1 given by coefficients; delta2 derived as t - delta1 in full
-    mode, or supplied explicitly in quasi mode.
+    delta1 given by coefficients; delta2 given by coefficients too, or
+    derived as t - delta1 when omitted.  An explicit delta2 other than
+    t - delta1 gives a quasi pair.
 ``perturbed_flat(n)``, n = 1..51
     Equal to the standard delta1 outside J_n = [1 - 2^-n, 1 - 2^-(n+1)]
-    and reshaped inside so the derivative vanishes at exactly one interior
-    point while staying below 1.  The simplest guided (non-regular)
-    configuration; pairs with distinct n are non-isomorphic as guided
-    systems.
+    and reshaped inside, by one fixed bump profile, so the derivative
+    vanishes at exactly one interior point while staying below 1.  The
+    simplest guided (non-regular) configuration; pairs with distinct n
+    are non-isomorphic as guided systems.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ FLAT_TOL = 1e-8
 #: Tolerance for exact-identity axiom checks on closed forms.
 AXIOM_TOL = 1e-12
 
-DEFAULT_VALIDATION_GRID = 4097
+#: The grid that validation, the solver and the command line use unless
+#: told otherwise, 2^12 + 1.
+DEFAULT_GRID = 4097
 
 #: The coarsest grid, 2^8 + 1, that validation, the solver and the command
 #: line accept.
@@ -137,30 +140,20 @@ def _coefficients(name: str, coeffs) -> np.ndarray:
     return a
 
 
-def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
+def _polynomial(delta1, delta2=None) -> MapPair:
     a1 = _coefficients("delta1", delta1)
     da1 = npoly.polyder(a1)
-    if mode == "full":
-        if delta2 is not None:
-            raise BadSpec(
-                "full mode derives delta2 = t - delta1; "
-                "supplying delta2 would silently break additivity"
-            )
+    params = {"delta1": list(map(float, a1))}
+    if delta2 is None:
         # delta2 = t - delta1 as explicit coefficients
         a2 = -a1.copy()
         if a2.size < 2:
             a2 = np.pad(a2, (0, 2 - a2.size))
         a2[1] += 1.0
-    elif mode == "quasi":
-        if delta2 is None:
-            raise BadSpec("quasi mode requires explicit delta2 coefficients")
-        a2 = _coefficients("delta2", delta2)
     else:
-        raise BadSpec(f"mode must be 'full' or 'quasi', got {mode!r}")
-    da2 = npoly.polyder(a2)
-    params = {"delta1": list(map(float, a1)), "mode": mode}
-    if mode == "quasi":
+        a2 = _coefficients("delta2", delta2)
         params["delta2"] = list(map(float, a2))
+    da2 = npoly.polyder(a2)
     return MapPair(
         family="polynomial",
         params=params,
@@ -181,8 +174,12 @@ def _polynomial(delta1, delta2=None, mode: str = "full") -> MapPair:
 #      u = 1/2; integral = w.
 # psi: bump on [0, 1/4] with plateau fraction p; integral = (1 + p)/8.
 # m = 4 w / (1 + p) restores the integral of g over [0, 1] to exactly 1/2,
-# so delta1 rejoins (t+1)/2 at the right edge of J_n.  The derivative cap
-# delta1' <= 1/2 + m requires m < 1/2, i.e. w < (1 + p)/8.
+# so delta1 rejoins (t+1)/2 at the right edge of J_n.  The shape is fixed
+# at w = 1/8 and p = 1/2, so m = 1/3 and delta1' <= 1/2 + m = 5/6 < 1.
+
+_PHI_HALFWIDTH = 0.125         # w
+_PSI_PLATEAU = 0.5             # p
+
 
 def _ramp(x):
     """The C^1 smoothstep x^2 (3 - 2x), held at 0 below 0 and at 1 above 1,
@@ -196,12 +193,11 @@ def _bump(u, a, b, r):
     ends, with its integral from 0 (for 0 <= a)."""
     rise, rise_int = _ramp((u - a) / r)
     fall, fall_int = _ramp((b - u) / r)
-    # without a plateau, b - a - 2r can round to just below 0
-    plateau = np.clip(u - (a + r), 0.0, max(b - a - 2.0 * r, 0.0))
+    plateau = np.clip(u - (a + r), 0.0, b - a - 2.0 * r)
     return np.minimum(rise, fall), r * rise_int + plateau + r * (0.5 - fall_int)
 
 
-def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
+def perturbed_flat_pair(n: int) -> MapPair:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise BadSpec(f"n must be an integer >= 1, got {n!r}")
     try:
@@ -213,21 +209,8 @@ def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
     if not left < lam < right:
         raise BadSpec(f"n must be at most 51, got {n}: no float lies "
                       "strictly inside J_n around the flat point")
-    shape = dict(shape or {})
-    w = float(shape.pop("phi_halfwidth", 0.125))
-    p = float(shape.pop("psi_plateau", 0.5))
-    if shape:
-        raise BadSpec(f"unknown shape parameters: {sorted(shape)}")
-    if not 0.0 < w <= 0.25:
-        raise BadSpec("phi_halfwidth must lie in (0, 1/4]")
-    if not 0.0 <= p < 1.0:
-        raise BadSpec("psi_plateau must lie in [0, 1)")
+    w, p = _PHI_HALFWIDTH, _PSI_PLATEAU
     m = 4.0 * w / (1.0 + p)
-    if m >= 0.5:
-        raise BadSpec(
-            f"shape gives derivative excess m = {m:.4g} >= 1/2; "
-            "the branch derivative would reach 1"
-        )
     r = (1.0 - p) / 8.0          # psi ramp width in u units
 
     def on_cell(t, integral):
@@ -265,7 +248,7 @@ def _perturbed_flat(n: int, shape: dict | None = None) -> MapPair:
 
     return MapPair(
         family="perturbed_flat",
-        params={"n": int(n), "shape": {"phi_halfwidth": w, "psi_plateau": p}},
+        params={"n": int(n)},
         delta1=d1,
         delta2=d2,
         d_delta1=d1p,
@@ -280,16 +263,12 @@ def flat_interval(n: int) -> tuple[float, float]:
     return (1.0 - 2.0 ** (-n), 1.0 - 2.0 ** (-(n + 1)))
 
 
-def perturbed_flat_pair(n: int, **shape) -> MapPair:
-    return _perturbed_flat(n, shape or None)
-
-
 #: Each family's constructor; its parameter names are the descriptor keys.
 _FAMILIES = {
     "standard": standard_pair,
     "quadratic": quadratic_pair,
     "polynomial": _polynomial,
-    "perturbed_flat": _perturbed_flat,
+    "perturbed_flat": perturbed_flat_pair,
 }
 
 
@@ -298,8 +277,8 @@ def build_family(spec) -> MapPair:
 
     ``spec`` is a dict such as ``{"family": "standard"}``,
     ``{"family": "quadratic", "c": 0.2}``,
-    ``{"family": "polynomial", "delta1": [...], "mode": "full"}`` or
-    ``{"family": "perturbed_flat", "n": 2, "shape": {...}}``.
+    ``{"family": "polynomial", "delta1": [...]}`` (``"delta2": [...]``
+    optional) or ``{"family": "perturbed_flat", "n": 2}``.
     A JSON string is also accepted.
 
     Raises :class:`BadSpec` for malformed descriptors: an unknown family,
@@ -332,8 +311,6 @@ def build_family(spec) -> MapPair:
 def _exceeds_float(value) -> bool:
     """True if a descriptor value holds an integer that no float can
     hold, such as a JSON integer of some 310 digits or more."""
-    if isinstance(value, dict):
-        return any(map(_exceeds_float, value.values()))
     if isinstance(value, list):
         return any(map(_exceeds_float, value))
     if isinstance(value, int):
@@ -344,11 +321,10 @@ def _exceeds_float(value) -> bool:
     return False
 
 
-def pairs_agree_on_grid(a: MapPair, b: MapPair,
-                        grid: int = DEFAULT_VALIDATION_GRID) -> bool:
-    """True if both branches of `a` and `b` agree to 1e-15 on a uniform
-    grid."""
-    t = np.linspace(-1.0, 1.0, grid)
+def pairs_agree_on_grid(a: MapPair, b: MapPair) -> bool:
+    """True if both branches of `a` and `b` agree to 1e-15 on the uniform
+    grid of DEFAULT_GRID points."""
+    t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
     return bool(
         np.max(np.abs(a.delta1(t) - b.delta1(t))) <= 1e-15
         and np.max(np.abs(a.delta2(t) - b.delta2(t))) <= 1e-15
@@ -412,7 +388,7 @@ def _runs(mask: np.ndarray) -> list[np.ndarray]:
     return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
 
 
-def guiding_sets(pair: MapPair, grid: int = DEFAULT_VALIDATION_GRID,
+def guiding_sets(pair: MapPair, grid: int = DEFAULT_GRID,
                  ) -> tuple[SetApprox, SetApprox]:
     """Grid approximations of both guiding sets.
 
@@ -446,7 +422,7 @@ def check_branches_invertible(pair: MapPair):
     BranchNotInvertible
         Naming the branch that decreases or is flat on an interval.
     """
-    t = np.linspace(-1.0, 1.0, DEFAULT_VALIDATION_GRID)
+    t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
     for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
         dv = np.asarray(d(t))
         if np.min(dv) < -AXIOM_TOL:
@@ -456,7 +432,7 @@ def check_branches_invertible(pair: MapPair):
                 f"{name} is flat on an interval; branch not invertible")
 
 
-def validate(pair: MapPair, grid: int = DEFAULT_VALIDATION_GRID,
+def validate(pair: MapPair, grid: int = DEFAULT_GRID,
              ) -> ValidationReport:
     """Check the configuration axioms on a uniform grid plus the anchors,
     to AXIOM_TOL; guiding sets use FLAT_TOL.

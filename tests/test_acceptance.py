@@ -114,7 +114,7 @@ def test_criterion_07_uniqueness(quad02, quad02_solved):
 
 def test_criterion_08_induced_system(quad02, quad02_solved):
     h, _ = quad02_solved
-    (s1, s2), report = pc.induced_system(h, quad02, grid=4097)
+    (s1, s2), report = pc.induced_system(h, quad02)
     ok = report.additivity_max_dev <= 5e-3 and report.boundary_ok
     check(8, ok,
           f"induced additivity dev {report.additivity_max_dev:.2e} <= 5e-3, "

@@ -112,7 +112,6 @@ def test_solve_rejects_invalid_pair(pf2):
 def test_solve_accepts_quasi_pair(monkeypatch):
     quasi = build_family({
         "family": "polynomial",
-        "mode": "quasi",
         "delta1": [0.5, 0.5],
         "delta2": [-0.5, 0.45, 0.0, 0.05],
     })
@@ -127,6 +126,21 @@ def test_solve_accepts_quasi_pair(monkeypatch):
     assert calls == [quasi]
     assert cert.fe_residual <= 1e-2
     assert cert.nonlinearity_gap > 0.0
+
+
+def test_solve_refuses_non_additive_target(quad02, monkeypatch):
+    # delta1 + delta2 = t - 0.1 (1 - t^2): every axiom but additivity holds
+    quasi = build_family({"family": "polynomial",
+                          "delta1": [0.45, 0.5, 0.05],
+                          "delta2": [-0.55, 0.5, 0.05]})
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the target was checked")
+
+    monkeypatch.setattr(cauchy, "conjugate", no_solve)
+    monkeypatch.setattr(cauchy, "conjugate_to_standard", no_solve)
+    with pytest.raises(InvalidPair, match="target is not additive"):
+        solve_nonlinear(quad02, target=quasi, grid=1025)
 
 
 def test_conjugation_residual_bounds_fe_residual(quad02, std, quad02_solved):
@@ -147,7 +161,7 @@ def test_certificate_serializes(quad02):
 
 
 def test_induced_by_identity_reproduces_pair(quad02):
-    (s1, s2), report = induced_system(identity(2049), quad02, grid=2049)
+    (s1, s2), report = induced_system(identity(2049), quad02)
     assert np.max(np.abs(s1.values - quad02.delta1(s1.nodes))) <= 1e-12
     assert np.max(np.abs(s2.values - quad02.delta2(s2.nodes))) <= 1e-12
     assert report.additivity_ok and report.boundary_ok
@@ -155,7 +169,7 @@ def test_induced_by_identity_reproduces_pair(quad02):
 
 def test_induced_by_solution_is_standard(quad02, quad02_solved, std):
     h, _ = quad02_solved
-    (s1, s2), report = induced_system(h, quad02, grid=4097)
+    (s1, s2), report = induced_system(h, quad02)
     t = np.linspace(-1, 1, 999)
     assert np.max(np.abs(evaluate(s1, t) - std.delta1(t))) <= 5e-3
     assert np.max(np.abs(evaluate(s2, t) - std.delta2(t))) <= 5e-3

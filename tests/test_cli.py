@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, files, determinism."""
 
+import inspect
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pconfig import analysis
+from pconfig import analysis, families
 from pconfig.cli import _build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -258,6 +259,27 @@ def test_solve_fe_degenerate_exits_one(std_config, tmp_path):
     assert cert["nonlinearity_gap"] == 0.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "{c03}"],
+     "pair classifies as 'invalid'; need regular or quasi-regular"),
+    (["--config", "{quad}", "--target", "{quasi}"],
+     "target is not additive: delta1 + delta2 != t"),
+], ids=["invalid-source", "quasi-target"])
+def test_solve_fe_refused_pair_exits_one(argv, message, quad_config,
+                                         tmp_path, capsys):
+    c03 = tmp_path / "c03.json"
+    c03.write_text(json.dumps({"family": "quadratic", "c": 0.3}))
+    quasi = tmp_path / "quasi.json"
+    quasi.write_text(json.dumps({"family": "polynomial",
+                                 "delta1": [0.45, 0.5, 0.05],
+                                 "delta2": [-0.55, 0.5, 0.05]}))
+    argv = [a.format(c03=c03, quad=quad_config, quasi=quasi) for a in argv]
+    out = tmp_path / "out"
+    assert run(["solve-fe", *argv, "--grid", 1025, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -403,6 +425,20 @@ def test_readme_options_table_matches_parser():
                if o.startswith("--") and o != "--help"}
         for name, p in subparsers.items()
     }
+    assert documented == declared
+
+
+def test_readme_descriptor_table_matches_families():
+    # each family's keys are its constructor's parameter names, so a key
+    # cannot leave the code while the README still documents it
+    table = re.search(r"^\| family +\| keys \|\n\|[-|]+\|\n((?:\|.*\|\n)+)",
+                      README.read_text(), re.MULTILINE).group(1)
+    documented = {}
+    for row in table.splitlines():
+        family, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        documented[family] = set(re.findall(r"`([a-z0-9_]+)`", keys))
+    declared = {family: set(inspect.signature(constructor).parameters)
+                for family, constructor in families._FAMILIES.items()}
     assert documented == declared
 
 

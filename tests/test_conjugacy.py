@@ -41,7 +41,7 @@ from pconfig.conjugacy import (
 TOL = 1e-10
 
 QUASI = {
-    "family": "polynomial", "mode": "quasi",
+    "family": "polynomial",
     "delta1": [0.5, 0.5], "delta2": [-0.5, 0.45, 0.0, 0.05],
 }
 
