@@ -13,13 +13,11 @@ iterated it shows the contraction factor 1/2 of the paper.
 import numpy as np
 
 from pconfig import (
-    Word,
     contraction_step,
     conjugate_to_standard,
     evaluate,
     identity,
     make_monotone,
-    orbit_oracle,
     orbit_points,
     quadratic_pair,
     sup_distance,
@@ -38,17 +36,14 @@ print()
 
 # Pushing a branch word through the pair gives the abscissa, pushing the
 # same word through the standard maps gives the value h must take there.
-print("spot checks against the exact orbit oracle")
+print("spot checks on the words of length <= 2 from 0")
 print("-" * 46)
-for branches, base in [((1,), 0.0), ((1, 1), -1.0), ((2, 1), 1.0),
-                       ((1, 2, 1), 0.0)]:
-    x, y = orbit_oracle(pair, Word(branches, base=base))
-    print(f"  word {branches!s:12} base {base:+.0f}: "
-          f"h({x:+.6f}) = {evaluate(h, x):+.10f}  (exact {y:+.10f})")
+for x, y in orbit_points(pair, max_len=2, bases=(0.0,)):
+    print(f"  h({x:+.6f}) = {evaluate(h, x):+.10f}  (exact {y:+.10f})")
 
 x, y = np.array(orbit_points(pair, max_len=11)).T
 worst = float(np.max(np.abs(evaluate(h, x) - y)))
-print(f"worst error over {x.size} oracle points: {worst:.2e}")
+print(f"worst error over {x.size} orbit points: {worst:.2e}")
 print()
 
 print("one application of T, pull-back solved by bisection")

@@ -28,16 +28,12 @@ from .cauchy import (
 )
 from .conjugacy import (
     BranchInverse,
-    ConjugacyReport,
     ConvergenceLog,
-    Word,
     build_orbit_grid,
     conjugate,
     conjugate_to_standard,
     contraction_step,
-    orbit_oracle,
     orbit_points,
-    verify_conjugacy,
 )
 from .errors import (
     AnchorsNotFixed,

@@ -136,11 +136,13 @@ def difference_quotients(f: MonotoneFunction, t0: float,
 
 @dataclass(frozen=True)
 class QuotientEnclosure(Report):
-    """Rigorous per-scale bounds on endpoint difference quotients.
+    """Per-scale bounds on endpoint difference quotients, from orbit points.
 
-    Bounds come from monotone bracketing between exact orbit points whose
-    conjugation values are dyadics of denominator 2^depth; no solver
-    output is involved.  ``ratio_bounds[i]`` encloses
+    Bounds come from monotone bracketing between orbit points whose
+    conjugation values are dyadics of denominator 2^depth, exact at any
+    depth; no solver output is involved.  The bracket points are float
+    orbit points, each within 2^-52 of the exact one, so the bounds hold
+    up to that error in the abscissae.  ``ratio_bounds[i]`` encloses
     quotient(k+1)/quotient(k).  A query closer to t0 than the first inward
     orbit point gets the lower quotient bound 0, and the ratios over it
     the upper bound inf: valid, but uninformative.
@@ -183,7 +185,9 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     around 2^(1-beta) without trusting the fixed-point solver.  At least
     two scales are needed, so that there is a ratio to enclose.  The
     labels are integers over 2^depth, exact at any depth; only the
-    abscissae are floats.
+    abscissae are floats, each within 2^-52 of the exact orbit point, so
+    at a depth where that exceeds the spacing of the orbit points a
+    bracket can be off by a label.
     """
     if t0 not in (-1.0, 1.0):
         raise ValueError("t0 must be -1 or 1")

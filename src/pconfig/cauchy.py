@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard
+# conjugate_to_standard is not called here: perfbench/test_spans.py
+# checks that its tracer wraps this import site (ROADMAP item 6)
+from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
 from .errors import AnchorsNotFixed, InvalidPair
 from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
 from .funcspace import MonotoneFunction
@@ -141,10 +143,7 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
             degenerate=True,
         )
 
-    if target.family == "standard":
-        h, _ = conjugate_to_standard(pair, grid=grid)
-    else:
-        h = conjugate(pair, target, grid=grid)
+    h = conjugate(pair, target, grid=grid)
     return SolutionCertificate(
         solution=h,
         fe_residual=fe_residual(h, pair, grid=grid),

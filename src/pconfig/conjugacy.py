@@ -351,59 +351,22 @@ def retarget(h_source: MonotoneFunction, target: MapPair,
 
 
 # --------------------------------------------------------------------------
-# the exact dyadic-orbit oracle
+# orbit points by word
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Word:
-    """A finite branch word applied to a base anchor point.
-
-    ``branches`` is a sequence over {1, 2}; entry 0 is applied first.
-    """
-
-    branches: tuple
-    base: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "base", float(self.base))
-        if not set(self.branches) <= {1, 2}:
-            raise ValueError("branches must be over {1, 2}")
-        if self.base not in ANCHORS:
-            raise ValueError("base must be one of -1, 0, 1")
-
-
-def orbit_oracle(pair: MapPair, word: Word) -> tuple[float, float]:
-    """Exact (abscissa, ordinate) sample of the conjugation to standard.
-
-    The abscissa is the branch word applied to the base through `pair`;
-    the ordinate is the same word applied through the standard maps, an
-    exact dyadic rational.  Because the conjugation intertwines the two
-    systems and fixes the anchors, the ordinate is the true value of h at
-    the abscissa, independent of any solver output.
-    """
-    x = float(word.base)
-    y = float(word.base)
-    for b in word.branches:
-        if b == 1:
-            x = float(pair.delta1(x))
-            y = (y + 1.0) / 2.0
-        else:
-            x = float(pair.delta2(x))
-            y = (y - 1.0) / 2.0
-    return x, y
-
 
 def orbit_points(pair: MapPair, max_len: int,
                  bases=ANCHORS) -> list[tuple[float, float]]:
-    """All oracle samples for words of length <= max_len over the bases.
+    """Exact samples (x, h(x)) of the conjugation to standard, one for
+    each word of length <= max_len over the bases.
 
-    For each base the words come by length; words of one length come in
-    the order of ``itertools.product((1, 2), repeat=length)``, the first
+    x is the word applied to its base through `pair`; h(x) is the same
+    word applied through the standard maps, an exact dyadic label.  For
+    each base the words come by length; words of one length come in the
+    order of ``itertools.product((1, 2), repeat=length)``, the first
     applied branch leading.  Each sample is gathered from the labelled
-    orbit by its ordinate, so for pairs that map the anchors to anchors
-    exactly (every built-in family) it equals :func:`orbit_oracle` of its
-    word.
+    orbit by its label, so for pairs that map the anchors to anchors
+    exactly (every built-in family) x is the word walked through the
+    pair's maps one branch at a time, bit for bit.
     """
     x = _labelled_orbit(pair, max_len)
     out = []
@@ -419,40 +382,3 @@ def orbit_points(pair: MapPair, max_len: int,
         k = ((y + 1.0) * 2.0 ** max_len).astype(np.int64)
         out.extend(zip(x[k].tolist(), y.tolist()))
     return out
-
-
-# --------------------------------------------------------------------------
-# verification
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConjugacyReport(Report):
-    """Measured intertwining residuals of a candidate conjugation."""
-
-    max_residual: float
-    residual_branch_1: float
-    residual_branch_2: float
-    anchor_deviations: tuple
-    grid: int
-
-
-def verify_conjugacy(h: MonotoneFunction, source: MapPair, target: MapPair,
-                     grid: int = DEFAULT_GRID) -> ConjugacyReport:
-    """Max over a uniform grid and both branches of
-    |h(delta_i(t)) - tau_i(h(t))|, plus the three anchor deviations."""
-    t = np.union1d(np.linspace(-1.0, 1.0, grid), (-1.0, 0.0, 1.0))
-    ht = funcspace.evaluate(h, t)
-    r1 = np.abs(funcspace.evaluate(h, np.clip(source.delta1(t), -1.0, 1.0))
-                - target.delta1(ht))
-    r2 = np.abs(funcspace.evaluate(h, np.clip(source.delta2(t), -1.0, 1.0))
-                - target.delta2(ht))
-    anchors = tuple(
-        abs(funcspace.evaluate(h, a) - a) for a in (-1.0, 0.0, 1.0)
-    )
-    return ConjugacyReport(
-        max_residual=float(max(np.max(r1), np.max(r2))),
-        residual_branch_1=float(np.max(r1)),
-        residual_branch_2=float(np.max(r2)),
-        anchor_deviations=anchors,
-        grid=int(t.size),
-    )

@@ -1,10 +1,12 @@
-"""Shared fixtures: built-in pairs and cached solver runs, and the
-contraction iteration on a given grid.
+"""Shared fixtures: built-in pairs and cached solver runs, the
+contraction iteration on a given grid, and the 120-bit orbit the
+library's float orbit is checked against.
 
 The expensive conjugation solves are session-scoped so the whole suite
 pays for each grid size once.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +47,57 @@ def iterate_contraction(pair, nodes, start=None):
         g = g_next
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0.0]
     return g, distances, ratios
+
+
+#: Working precision of the reference orbit, in bits.
+EXACT_BITS = 120
+
+
+def exact_maps(pair):
+    """delta1 and delta2 of a standard, quadratic or polynomial `pair` on
+    mpmath numbers, rounded to the working precision of the caller.
+
+    The coefficients are the pair's binary floats, taken exactly; a
+    polynomial pair without explicit ``delta2`` gets t - delta1.
+    """
+    params = pair.params
+    if pair.family == "standard":
+        def delta1(t):
+            return (t + 1) / 2
+    elif pair.family == "quadratic":
+        c = mpmath.mpf(params["c"])
+
+        def delta1(t):
+            return (t + 1) / 2 + c * (1 - t * t)
+    elif pair.family == "polynomial":
+        a1 = [mpmath.mpf(a) for a in reversed(params["delta1"])]
+
+        def delta1(t):
+            return mpmath.polyval(a1, t)
+        if "delta2" in params:
+            a2 = [mpmath.mpf(a) for a in reversed(params["delta2"])]
+            return delta1, lambda t: mpmath.polyval(a2, t)
+    else:
+        raise ValueError(f"no exact maps for family {pair.family!r}")
+    return delta1, lambda t: t - delta1(t)
+
+
+def exact_orbit(pair, depth):
+    """The labelled orbit of `pair` walked at EXACT_BITS bits, each point
+    rounded to the nearest float.
+
+    Entry k is the image of an anchor under the branch word whose
+    standard image is -1 + k 2^-depth, the order of the library's
+    labelled orbit: level l + 1 is delta2 of level l followed by delta1
+    of level l without its first point.
+    """
+    delta1, delta2 = exact_maps(pair)
+    with mpmath.workprec(EXACT_BITS):
+        x = [mpmath.mpf(a) for a in (-1, 0, 1)]
+        for _ in range(depth):
+            x = [delta2(t) for t in x] + [delta1(t) for t in x[1:]]
+    with mpmath.workprec(53):
+        return np.array([float(+t) for t in x])
 
 
 @pytest.fixture(scope="session")

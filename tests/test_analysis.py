@@ -3,20 +3,20 @@ flat-cell non-isomorphism experiment."""
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import EXACT_BITS, exact_maps
 
 from pconfig import analysis
 from pconfig import (
     ScaleBelowGrid,
-    Word,
     difference_quotients,
     dyadic_fixed_point_check,
     identity,
     make_monotone,
     nonregular_experiment,
     oracle_quotient_enclosure,
-    orbit_oracle,
     quadratic_pair,
     standard_pair,
 )
@@ -136,28 +136,36 @@ def test_oracle_enclosure_needs_two_scales(quad02):
 
 def _inward_distance(pair, t0, j, depth):
     """Distance from t0 of the orbit point whose label lies j dyadic
-    steps of 2^-depth inward, the label decoded as an exact fraction."""
+    steps of 2^-depth inward, the label decoded as an exact fraction and
+    its word walked at EXACT_BITS bits."""
     y = Fraction(int(t0)) - int(t0) * Fraction(j, 2 ** depth)
     branches = []
     while y not in (-1, 0, 1):
         branches.append(1 if y > 0 else 2)
         y = 2 * y - 1 if y > 0 else 2 * y + 1
-    x, _ = orbit_oracle(pair, Word(reversed(branches), base=float(y)))
-    return abs(x - t0)
+    delta1, delta2 = exact_maps(pair)
+    with mpmath.workprec(EXACT_BITS):
+        x = mpmath.mpf(int(y))
+        for b in reversed(branches):
+            x = delta1(x) if b == 1 else delta2(x)
+        return abs(x - t0)
 
 
 @pytest.mark.parametrize("t0", [1.0, -1.0])
 def test_oracle_enclosure_exact_beyond_float_labels(t0):
     # at depth 60, 1 - j 2^-60 is no float: each bracket must still be
-    # two adjacent labels whose orbit points straddle the query scale
+    # two adjacent labels.  Their orbit points straddle the query scale up
+    # to 2^-52, the float error of the abscissae the enclosure brackets
+    # with: at k = 6 the upper point lies 6.8e-17 short of s, at k = 8 the
+    # lower one 2.4e-17 beyond it
     pair, depth = quadratic_pair(-0.1), 60
     enc = oracle_quotient_enclosure(pair, t0, k_min=6, k_max=8, depth=depth)
     for k, (lo, hi) in zip(enc.k_values, enc.quotient_bounds):
         s = 2.0 ** -k
         lo_j, hi_j = int(lo * s * 2 ** depth), int(hi * s * 2 ** depth)
         assert hi_j == lo_j + 1
-        assert _inward_distance(pair, t0, lo_j, depth) < s
-        assert _inward_distance(pair, t0, hi_j, depth) >= s
+        assert _inward_distance(pair, t0, lo_j, depth) < s + 2.0 ** -52
+        assert _inward_distance(pair, t0, hi_j, depth) >= s - 2.0 ** -52
 
 
 def test_oracle_enclosure_standard_pair_is_linear():

@@ -19,7 +19,6 @@ from pconfig import (
     solve_nonlinear,
     standard_pair,
     validate,
-    verify_conjugacy,
 )
 
 
@@ -138,15 +137,8 @@ def test_solve_refuses_non_additive_target(quad02, monkeypatch):
         raise AssertionError("solved before the target was checked")
 
     monkeypatch.setattr(cauchy, "conjugate", no_solve)
-    monkeypatch.setattr(cauchy, "conjugate_to_standard", no_solve)
     with pytest.raises(InvalidPair, match="target is not additive"):
         solve_nonlinear(quad02, target=quasi, grid=1025)
-
-
-def test_conjugation_residual_bounds_fe_residual(quad02, std, quad02_solved):
-    h, _ = quad02_solved
-    conj = verify_conjugacy(h, quad02, std, grid=4097)
-    assert fe_residual(h, quad02, grid=4097) <= 2 * conj.max_residual + 1e-12
 
 
 def test_certificate_serializes(quad02):

@@ -1,10 +1,10 @@
-"""Contraction operator, conjugation solver, orbit oracle, verification."""
+"""Contraction operator, conjugation solver, orbit grids and orbit points."""
 
 import itertools
 
 import numpy as np
 import pytest
-from conftest import iterate_contraction
+from conftest import exact_orbit, iterate_contraction
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
@@ -12,7 +12,6 @@ from pconfig import (
     BranchInverse,
     BranchNotInvertible,
     MapPair,
-    Word,
     build_family,
     build_orbit_grid,
     compose,
@@ -23,18 +22,17 @@ from pconfig import (
     identity,
     invert,
     make_monotone,
-    orbit_oracle,
     orbit_points,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
     sup_distance,
-    verify_conjugacy,
 )
 from pconfig.conjugacy import (
     _BISECT_BLOCK,
     _BISECT_STEPS,
     _bisect_increasing,
+    _labelled_orbit,
     retarget,
 )
 
@@ -44,6 +42,9 @@ QUASI = {
     "family": "polynomial",
     "delta1": [0.5, 0.5], "delta2": [-0.5, 0.45, 0.0, 0.05],
 }
+
+#: A regular quartic: delta1 = 0.7 + 0.5 t - 0.4 t^2 + 0.2 t^4.
+QUARTIC = {"family": "polynomial", "delta1": [0.7, 0.5, -0.4, 0, 0.2]}
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,10 @@ def test_solver_values_are_the_orbit_labels(pair, grid):
     x, y = np.array(orbit_points(pair, max_len=depth)).T
     assert np.array_equal(evaluate(h, x), y)
     assert log.iterations == 0
+    # between the nodes h is monotone and the labels one step 2^-depth
+    # apart, so at the next level's orbit points h is within a step
+    x, y = np.array(orbit_points(pair, max_len=depth + 1)).T
+    assert np.max(np.abs(evaluate(h, x) - y)) <= 2.0 ** -depth
 
 
 def test_collided_words_keep_one_label_each():
@@ -400,29 +405,8 @@ def test_solver_names_a_decreasing_branch():
 
 
 # ---------------------------------------------------------------------------
-# the exact oracle
+# orbit points
 # ---------------------------------------------------------------------------
-
-
-def test_orbit_oracle_single_step(quad02):
-    assert orbit_oracle(quad02, Word((1,), base=0.0)) == (0.7, 0.5)
-
-
-def test_orbit_oracle_two_steps_from_left(quad02):
-    x, y = orbit_oracle(quad02, Word((1, 1), base=-1.0))
-    assert x == pytest.approx(0.7, abs=0)
-    assert y == 0.5
-
-
-def test_orbit_oracle_empty_word():
-    assert orbit_oracle(standard_pair(), Word((), base=1.0)) == (1.0, 1.0)
-
-
-def test_word_validation():
-    with pytest.raises(ValueError):
-        Word((1, 3), base=0.0)
-    with pytest.raises(ValueError):
-        Word((1,), base=0.5)
 
 
 def test_orbit_points_count(quad02):
@@ -433,34 +417,44 @@ def test_orbit_points_count(quad02):
 @pytest.mark.parametrize("pair", [quadratic_pair(0.2), perturbed_flat_pair(2)],
                          ids=repr)
 def test_orbit_points_are_the_oracle_word_by_word(pair):
-    # orbit_points and build_orbit_grid read the labelled grid, orbit_oracle
-    # walks one word at a time: they must agree bit for bit
-    words = [Word(w, base=a) for a in (-1.0, 0.0, 1.0) for n in range(8)
-             for w in itertools.product((1, 2), repeat=n)]
-    walked = np.array([orbit_oracle(pair, w) for w in words])
+    # orbit_points and build_orbit_grid read the labelled grid; walking
+    # each word through the pair's own maps one branch at a time must
+    # give the same floats
+    walked = []
+    for a in (-1.0, 0.0, 1.0):
+        for n in range(8):
+            for word in itertools.product((1, 2), repeat=n):
+                x, y = a, a
+                for b in word:
+                    x = float(pair.delta1(x) if b == 1 else pair.delta2(x))
+                    y = (y + 1.0) / 2.0 if b == 1 else (y - 1.0) / 2.0
+                walked.append((x, y))
+    walked = np.array(walked)
     gathered = np.array(orbit_points(pair, max_len=7))
     assert gathered.tobytes() == walked.tobytes()
     grid = build_orbit_grid(pair, 7)
     assert grid.tobytes() == np.unique(walked[:, 0]).tobytes()
 
 
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("pair", [
+    quadratic_pair(0.2), quadratic_pair(-0.2), build_family(QUARTIC),
+], ids=repr)
+def test_orbit_points_are_the_exact_orbit_within_float_error(pair):
+    # each float orbit point is within 2^-52 of the correctly rounded
+    # point of its word (measured at most 1.1e-16, 2.2e-16, 1.4e-16)
+    depth = 10
+    x, y = np.array(orbit_points(pair, max_len=depth)).T
+    k = ((y + 1.0) * 2.0 ** depth).astype(np.int64)
+    assert np.max(np.abs(x - exact_orbit(pair, depth)[k])) <= 2.0 ** -52
 
 
-def test_verify_identity_on_standard(std):
-    rep = verify_conjugacy(identity(1025), std, std, grid=1025)
-    assert rep.max_residual == 0.0
-    assert rep.anchor_deviations == (0.0, 0.0, 0.0)
-
-
-def test_verify_solver_output(quad02, std, quad02_solved):
-    h, _ = quad02_solved
-    rep = verify_conjugacy(h, quad02, std, grid=4097)
-    assert rep.max_residual <= 1e-3
-
-
-def test_verify_detects_non_conjugation(quad02, std):
-    rep = verify_conjugacy(identity(4097), quad02, std, grid=4097)
-    assert rep.max_residual >= 0.19
+def test_float_error_adds_collisions_and_order_inversions():
+    # quadratic(0.249) at depth 11 (ROADMAP item 3(b)): correctly rounded,
+    # 56 words land on the float of another word and the points keep label
+    # order; the float walk loses 64 words and puts 6 points out of label
+    # order, so 8 collisions and every inversion are float error
+    pair = quadratic_pair(0.249)
+    for x, lost, inversions in ((_labelled_orbit(pair, 11), 64, 6),
+                                (exact_orbit(pair, 11), 56, 0)):
+        assert x.size - np.unique(x).size == lost
+        assert np.count_nonzero(np.diff(x) < 0) == inversions
