@@ -438,10 +438,12 @@ def test_orbit_points_are_the_oracle_word_by_word(pair):
 
 @pytest.mark.parametrize("pair", [
     quadratic_pair(0.2), quadratic_pair(-0.2), build_family(QUARTIC),
+    build_family(QUASI), standard_pair(),
 ], ids=repr)
 def test_orbit_points_are_the_exact_orbit_within_float_error(pair):
     # each float orbit point is within 2^-52 of the correctly rounded
-    # point of its word (measured at most 1.1e-16, 2.2e-16, 1.4e-16)
+    # point of its word (measured at most 1.1e-16, 2.2e-16, 1.4e-16,
+    # 1.1e-16 and 0)
     depth = 10
     x, y = np.array(orbit_points(pair, max_len=depth)).T
     k = ((y + 1.0) * 2.0 ** depth).astype(np.int64)

@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -87,4 +86,3 @@ if __name__ == "__main__":
         manifest = {**versions(), "commands": run_commands(Path(tmp))}
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    sys.exit(0)
