@@ -64,18 +64,20 @@ from .families import (ANCHORS, DEFAULT_GRID, MIN_GRID, MapPair,
 from .funcspace import MonotoneFunction
 from .report import Report
 
-#: Bisection step count: 50 steps already bracket to 2^-49 * 2 < 1e-14;
-#: the extra steps let the bracket collapse to adjacent floats, which the
-#: orbit grid needs near the endpoints.  Bisection stalls stably once the
-#: bracket reaches float resolution, so a fixed count stays deterministic.
-#: Every target is evaluated exactly this many times, whatever the block
-#: size below.
+#: Bisection step count: after 50 steps the walk below lies within
+#: 2^-50 < 1e-15 of the solution; the extra steps take it to float
+#: resolution, which the orbit grid needs near the endpoints.  Once a step
+#: rounds, every later step is too small to move the walk, so a fixed
+#: count stays deterministic.  Every target is evaluated exactly this many
+#: times, whatever the block size below.
 _BISECT_STEPS = 100
 
-#: Targets bisected together: a block's bracket arrays (64 kB each) stay in
-#: cache through all the steps, where one sweep of a 2^19-target branch per
-#: step streams megabytes through memory.  Smaller blocks call `fun` more
-#: often, which costs the branches with a large per-call overhead.
+#: Targets walked together: a block's walk and gap arrays (64 kB each) and
+#: the branch's temporaries stay in cache through all the steps, where one
+#: sweep of a 2^19-target branch per step streams megabytes through memory.
+#: Smaller blocks call `fun` more often, which costs the branches with a
+#: large per-call overhead: 4096 is slower than 8192, and 16384 no faster,
+#: on quadratic(0.2) at 2^20+1 and perturbed_flat(2) at 2^16+1 nodes.
 _BISECT_BLOCK = 8192
 
 
@@ -83,25 +85,41 @@ def _bisect_increasing(fun, targets: np.ndarray) -> np.ndarray:
     """Vectorized bisection solve fun(x) = target on [-1, 1], for 1-D
     `targets`.
 
-    `fun` must be strictly increasing with fun(-1) <= target <= fun(1).
-    Never uses derivatives, so branches with isolated flat points are
-    handled safely.  `fun` must act elementwise: the targets are solved in
-    blocks of ``_BISECT_BLOCK``, each through all the steps while its
-    arrays stay in cache, and each target's bracket depends only on its
-    own values, so the result does not depend on the block size.
+    `fun` must be strictly increasing and finite with
+    fun(-1) <= target <= fun(1).  Never uses derivatives, so branches with
+    isolated flat points are handled safely.
+
+    Bisection of [-1, 1] is a signed dyadic walk: its midpoints are
+    mid_0 = 0 and mid_i = fl(mid_{i-1} + 2^-i) if fun(mid_{i-1}) < target,
+    fl(mid_{i-1} - 2^-i) otherwise, and the result is the midpoint after
+    ``_BISECT_STEPS`` steps.  While no step rounds, mid_i is the exact
+    centre of the bracket [lo, hi] of width 2^(1-i) that bisection keeps.
+    The first step that rounds gives fl of the same real centre that
+    0.5 * (lo + hi) rounds to.  From then on the bracket's centre rounds
+    onto its moved end, so the bracket stops moving; and every later step
+    is at most a quarter of the float spacing at the walk's point (half
+    the spacing below a power of two, a tie that rounds back to the even
+    power), so the walk stops too.  The float gap fun(mid) - target has
+    the sign of the exact one and is zero only when they are equal;
+    ``gap += 0.0`` turns the -0.0 of -0.0 - (+0.0) into +0.0, so
+    fun(mid) == target steps down, as "not below" does.
+
+    `fun` must act elementwise: the targets are solved in blocks of
+    ``_BISECT_BLOCK``, each through all the steps while its arrays stay in
+    cache, and each target's walk depends only on its own values, so the
+    result does not depend on the block size.
     """
     t = np.asarray(targets, dtype=float)
     out = np.empty_like(t)
     for start in range(0, t.size, _BISECT_BLOCK):
         block = t[start:start + _BISECT_BLOCK]
-        lo = np.full_like(block, -1.0)
-        hi = np.full_like(block, 1.0)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(fun(mid)) < block
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[start:start + _BISECT_BLOCK] = 0.5 * (lo + hi)
+        mid = np.zeros_like(block)
+        gap = np.empty_like(block)
+        for i in range(1, _BISECT_STEPS + 1):
+            np.subtract(fun(mid), block, out=gap)
+            gap += 0.0
+            mid -= np.copysign(math.ldexp(1.0, -i), gap, out=gap)
+        out[start:start + _BISECT_BLOCK] = mid
     return out
 
 
@@ -155,8 +173,11 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     """One application of the halving pull-back operator to `g`.
 
     The result is sampled on g's grid, fixes the anchors exactly and is
-    nondecreasing.  Branch inverses are solved by bisection to below
-    1e-12.
+    nondecreasing.  Branch inverses are solved by bisection to float
+    resolution: within 1e-14 of the exact inverse for regular branches
+    (quadratic(0.249): 5.7e-15), and near a flat point anywhere on the
+    interval where the float branch is constant (3.1e-7 either side of
+    perturbed_flat(2)'s).
 
     Raises
     ------
@@ -294,11 +315,12 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         If a branch decreases or is flat on an interval.
     """
     h = _labelled_h(pair, grid)
-    # T's bisection pull-back is nearly all of this solve's time and serves
-    # only the residual.  It stays, in the source solves of `conjugate` and
-    # `solve_nonlinear` too, because perfbench pins it: test_spans.py
-    # asserts 100 evaluations per node and DeepSolve.required names the
-    # conjugacy.pullback and conjugacy.solve spans (ROADMAP items 6 and 7)
+    # T's bisection pull-back is most of this solve's time (about 80 % for
+    # quadratic(0.2) at 2^20+1 nodes) and serves only the residual.  It
+    # stays, in the source solves of `conjugate` and `solve_nonlinear` too,
+    # because perfbench pins it: test_spans.py asserts 100 evaluations per
+    # node and DeepSolve.required names the conjugacy.pullback and
+    # conjugacy.solve spans (ROADMAP items 6 and 7)
     step = _operator(pair, h.nodes)
     log = ConvergenceLog(
         residual=float(np.max(np.abs(step(h.values) - h.values))),

@@ -31,9 +31,6 @@ from .errors import BadDomain, NonMonotoneInput, NotInvertible, OutOfDomain
 DOMAIN_LEFT = -1.0
 DOMAIN_RIGHT = 1.0
 
-#: Default node count for uniform grids, 2^12 + 1.
-DEFAULT_GRID_SIZE = 4097
-
 
 @dataclass(frozen=True, eq=False)
 class MonotoneFunction:
@@ -142,9 +139,12 @@ def make_monotone(nodes, values) -> MonotoneFunction:
                             np.array(values, dtype=float))
 
 
-def identity(n: int = DEFAULT_GRID_SIZE, nodes=None) -> MonotoneFunction:
-    """The identity function, sampled uniformly (default) or on `nodes`."""
+def identity(n: int | None = None, nodes=None) -> MonotoneFunction:
+    """The identity function, sampled at `n` uniform nodes or on `nodes`;
+    one of the two must be given."""
     if nodes is None:
+        if n is None:
+            raise TypeError("identity() needs n or nodes")
         nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
     nodes = np.asarray(nodes, dtype=float)
     return MonotoneFunction(nodes, nodes.copy())

@@ -142,6 +142,21 @@ def test_step_rejects_interval_flat_branch():
 # ---------------------------------------------------------------------------
 
 
+def _assert_walk_is_bisection(fun, targets):
+    """The blocked walk returns the bracket bisection's bytes, after
+    exactly ``_BISECT_STEPS`` evaluations per target."""
+    targets = np.asarray(targets, dtype=float)
+    evaluated = []
+
+    def counted(x):
+        evaluated.append(np.size(x))
+        return fun(x)
+
+    out = _bisect_increasing(counted, targets)
+    assert out.tobytes() == _bisect_unblocked(fun, targets).tobytes()
+    assert sum(evaluated) == _BISECT_STEPS * targets.size
+
+
 def _bisect_unblocked(fun, targets):
     """The bisection over all targets at once, one sweep per step."""
     t = np.asarray(targets, dtype=float)
@@ -164,21 +179,77 @@ def test_blocked_bisection_is_the_unblocked_one(pair, branch):
     fun = getattr(pair, branch)
     for size in (0, 1, _BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
                  3 * _BISECT_BLOCK + 5):
-        targets = fun(np.linspace(-1.0, 1.0, size))
-        evaluated = []
-
-        def counted(x):
-            evaluated.append(np.size(x))
-            return fun(x)
-
-        out = _bisect_increasing(counted, targets)
-        assert out.tobytes() == _bisect_unblocked(fun, targets).tobytes()
-        assert sum(evaluated) == _BISECT_STEPS * size
+        _assert_walk_is_bisection(fun, fun(np.linspace(-1.0, 1.0, size)))
 
 
 def test_pull_back_of_no_points_is_empty():
     out = BranchInverse(quadratic_pair(0.2)).pull_back(np.array([]))
     assert out.shape == (0,)
+
+
+_WALK_BRANCHES = {
+    f"{name}-{branch}": (pair, branch)
+    for name, pair in (("quadratic(0.2)", quadratic_pair(0.2)),
+                       ("quadratic(-0.2)", quadratic_pair(-0.2)),
+                       ("perturbed_flat(3)", perturbed_flat_pair(3)))
+    for branch in ("delta1", "delta2")}
+
+_TINY = np.finfo(float).tiny
+_EDGE_TARGETS = np.concatenate((
+    [0.0, -0.0, 5e-324, -5e-324, 2 * 5e-324, -2 * 5e-324,
+     _TINY, -_TINY, np.nextafter(_TINY, 0.0), -np.nextafter(_TINY, 0.0),
+     np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1.0, -1.0],
+    np.ldexp(1.0, -np.arange(1075)), -np.ldexp(1.0, -np.arange(1075)),
+))
+
+
+@pytest.mark.parametrize("pair, branch", _WALK_BRANCHES.values(),
+                         ids=_WALK_BRANCHES.keys())
+def test_walk_at_branch_values_powers_of_two_and_float_edges(pair, branch):
+    fun = getattr(pair, branch)
+    lo, hi = fun(np.array([-1.0, 1.0]))
+    edges = _EDGE_TARGETS[(_EDGE_TARGETS >= lo) & (_EDGE_TARGETS <= hi)]
+    _assert_walk_is_bisection(
+        fun, np.concatenate((fun(np.array([-1.0, 0.0, 1.0])), edges)))
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "quadratic", "c": 0.249},
+    {"family": "polynomial", "delta1": [0.25, 0.5, 0.75, 0, -0.5]},
+], ids=["quadratic(0.249)", "chebyshev-T3-guided"])
+def test_walk_at_collision_prone_orbit_nodes(spec):
+    # the depth-11 orbit grids where distinct words collide (ROADMAP
+    # item 3), each node on the branch that pull_back inverts it by
+    pair = build_family(spec)
+    nodes = build_orbit_grid(pair, 11)
+    _assert_walk_is_bisection(pair.delta2, nodes[nodes <= 0.0])
+    _assert_walk_is_bisection(pair.delta1, nodes[nodes > 0.0])
+
+
+@st.composite
+def _branch_and_targets(draw):
+    pair, branch = draw(st.sampled_from(list(_WALK_BRANCHES.values())))
+    fun = getattr(pair, branch)
+    lo, hi = (float(v) for v in fun(np.array([-1.0, 1.0])))
+    targets = draw(st.lists(st.floats(min_value=lo, max_value=hi),
+                            min_size=1, max_size=40))
+    return fun, targets
+
+
+@given(_branch_and_targets())
+@settings(max_examples=100, deadline=None)
+def test_walk_is_bisection_for_any_target_in_range(case):
+    _assert_walk_is_bisection(*case)
+
+
+def test_walk_treats_a_negative_zero_value_as_not_below():
+    # fun(0) = -0.0 equals the target +0.0, so bisection steps down; a
+    # walk reading the sign bit of -0.0 - (+0.0) would step up
+    def fun(x):
+        return np.where(x == 0.0, -0.0, x)
+
+    _assert_walk_is_bisection(fun, [0.0])
+    assert _bisect_increasing(fun, np.array([0.0]))[0] == -2.0 ** -100
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_arrays_are_immutable():
 
 
 def test_eval_identity():
-    assert evaluate(identity(), 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert evaluate(identity(4097), 0.3) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_eval_midpoint_of_segment():
@@ -186,7 +186,7 @@ def test_eval_round_trip_on_range(f, alpha):
 
 def test_compose_with_identity_both_sides():
     f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
-    left = compose(identity(), f)
+    left = compose(identity(4097), f)
     assert np.array_equal(left.values, f.values)
     right = compose(f, identity(nodes=f.nodes))
     assert np.array_equal(right.values, f.values)
