@@ -1,6 +1,7 @@
 """Endpoint regularity probes, oracle enclosures, dyadic checks, and the
 flat-cell non-isomorphism experiment."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from conftest import EXACT_BITS, exact_maps
 from pconfig import analysis
 from pconfig import (
     ScaleBelowGrid,
+    build_family,
     difference_quotients,
     dyadic_fixed_point_check,
     identity,
@@ -132,40 +134,98 @@ def test_oracle_enclosure_needs_two_scales(quad02):
         oracle_quotient_enclosure(quad02, 1.0, k_min=8, k_max=8)
     with pytest.raises(ValueError):
         oracle_quotient_enclosure(quad02, 1.0, k_min=9, k_max=8)
+    with pytest.raises(ValueError):
+        # scale 2^0 is the whole interval: no scale is finer than 1/2
+        oracle_quotient_enclosure(quad02, 1.0, k_min=0, k_max=8)
 
 
-def _inward_distance(pair, t0, j, depth):
-    """Distance from t0 of the orbit point whose label lies j dyadic
-    steps of 2^-depth inward, the label decoded as an exact fraction and
-    its word walked at EXACT_BITS bits."""
+def _label_word(t0, j, depth):
+    """The anchor and the branches, innermost first, whose orbit point
+    has the label j dyadic steps of 2^-depth inward from t0, read off
+    the label as an exact fraction."""
     y = Fraction(int(t0)) - int(t0) * Fraction(j, 2 ** depth)
     branches = []
     while y not in (-1, 0, 1):
         branches.append(1 if y > 0 else 2)
         y = 2 * y - 1 if y > 0 else 2 * y + 1
+    return int(y), branches[::-1]
+
+
+def _inward_distance(pair, t0, j, depth):
+    """Distance from t0 of the orbit point j dyadic steps of 2^-depth
+    inward, its word walked at EXACT_BITS bits."""
+    anchor, branches = _label_word(t0, j, depth)
     delta1, delta2 = exact_maps(pair)
     with mpmath.workprec(EXACT_BITS):
-        x = mpmath.mpf(int(y))
-        for b in reversed(branches):
+        x = mpmath.mpf(anchor)
+        for b in branches:
             x = delta1(x) if b == 1 else delta2(x)
         return abs(x - t0)
 
 
 @pytest.mark.parametrize("t0", [1.0, -1.0])
-def test_oracle_enclosure_exact_beyond_float_labels(t0):
-    # at depth 60, 1 - j 2^-60 is no float: each bracket must still be
-    # two adjacent labels.  Their orbit points straddle the query scale up
-    # to 2^-52, the float error of the abscissae the enclosure brackets
-    # with: at k = 6 the upper point lies 6.8e-17 short of s, at k = 8 the
-    # lower one 2.4e-17 beyond it
-    pair, depth = quadratic_pair(-0.1), 60
-    enc = oracle_quotient_enclosure(pair, t0, k_min=6, k_max=8, depth=depth)
+@pytest.mark.parametrize("spec, k_min, k_max, depth", [
+    ({"family": "quadratic", "c": 0.2}, 6, 13, 22),
+    ({"family": "quadratic", "c": -0.1}, 6, 8, 60),
+    ({"family": "perturbed_flat", "n": 2}, 6, 13, 22),
+    ({"family": "polynomial", "delta1": [0.25, 0.5, 0.75, 0, -0.5]}, 4, 10, 30),
+    ({"family": "standard"}, 1, 2, 0),
+], ids=["quadratic(0.2)", "quadratic(-0.1)", "perturbed_flat(2)", "T_3",
+        "standard-depth0"])
+def test_oracle_enclosure_is_the_scalar_bisection(spec, k_min, k_max,
+                                                  depth, t0):
+    # the reference bisects each scale's bracket index on its own, walking
+    # one float label at a time; the enclosure's vectorised descent must
+    # give the same bounds bit for bit
+    pair = build_family(spec)
+
+    def inward(j):
+        anchor, branches = _label_word(t0, j, depth)
+        x = float(anchor)
+        for b in branches:
+            x = float(pair.delta1(x) if b == 1 else pair.delta2(x))
+        return abs(x - t0)
+
+    enc = oracle_quotient_enclosure(pair, t0, k_min, k_max, depth)
+    for k, bounds in zip(enc.k_values, enc.quotient_bounds):
+        s = 2.0 ** -k
+        lo, hi = 0, 2 ** depth
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if inward(mid) < s else (lo, mid)
+        assert bounds == (lo * 2.0 ** -depth / s, hi * 2.0 ** -depth / s)
+
+
+@pytest.mark.parametrize("t0", [1.0, -1.0])
+@pytest.mark.parametrize("c, depth, k_max", [
+    (-0.1, 60, 8), (0.2, 22, 13), (0.1, 22, 13), (-0.2, 22, 13),
+    (-0.2, 90, 8),
+])
+def test_oracle_enclosure_exact_beyond_float_labels(c, depth, k_max, t0):
+    # each bracket must be two adjacent labels whose orbit points straddle
+    # the query scale up to 2^-52, the float error of the abscissae the
+    # enclosure brackets with.  At depth 22 the points lie far wider apart
+    # than that, so the straddle pins each bracket exactly.  At depth 60,
+    # where 1 - j 2^-60 is no float, it need not: for quadratic(-0.1) at
+    # k = 6 the upper point lies 6.8e-17 short of s, at k = 8 the lower
+    # one 2.4e-17 beyond it.  At depth 90 every query of quadratic(-0.2)
+    # lies beyond the first inward orbit point, which it does not at 22
+    pair = quadratic_pair(c)
+    enc = oracle_quotient_enclosure(pair, t0, k_min=6, k_max=k_max,
+                                    depth=depth)
     for k, (lo, hi) in zip(enc.k_values, enc.quotient_bounds):
         s = 2.0 ** -k
+        # the bounds are j 2^-depth / s and (j + 1) 2^-depth / s rounded to
+        # floats, so past 2^53 they fix j only to within half a float
+        # spacing; h increases, so each straddle is checked at the end of
+        # that window where it is hardest.  Below 2^53, j_min == j_max
         lo_j, hi_j = int(lo * s * 2 ** depth), int(hi * s * 2 ** depth)
-        assert hi_j == lo_j + 1
-        assert _inward_distance(pair, t0, lo_j, depth) < s + 2.0 ** -52
-        assert _inward_distance(pair, t0, hi_j, depth) >= s - 2.0 ** -52
+        w_lo, w_hi = (int(math.ulp(j)) // 2 for j in (lo_j, hi_j))
+        j_min = max(lo_j - w_lo, hi_j - 1 - w_hi)
+        j_max = min(lo_j + w_lo, hi_j - 1 + w_hi)
+        assert j_min <= j_max
+        assert _inward_distance(pair, t0, j_max, depth) < s + 2.0 ** -52
+        assert _inward_distance(pair, t0, j_min + 1, depth) >= s - 2.0 ** -52
 
 
 def test_oracle_enclosure_standard_pair_is_linear():
