@@ -15,7 +15,7 @@ below.
 
 from pconfig import nonregular_experiment
 
-report = nonregular_experiment(2, 3, grid=4097, m_max=8)
+report = nonregular_experiment(2, 3, grid=4097)
 
 print(f"configurations: flat cells J_{report.n} and J_{report.k}")
 print(f"  J_{report.n} = {list(report.cell_n)}, flat point lambda = "

@@ -183,17 +183,21 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     on the quotient.  This is the independent confirmation channel for
     quotient-ratio bands: it measures the true log-periodic oscillation
     around 2^(1-beta) without trusting the fixed-point solver.  At least
-    two scales are needed, so that there is a ratio to enclose.  The
-    labels are integers over 2^depth, exact at any depth; only the
-    abscissae are floats, each within 2^-52 of the exact orbit point, so
-    at a depth where that exceeds the spacing of the orbit points a
-    bracket can be off by a label.  The cost is about depth^2 / 2 steps
-    of one vectorised walk, whatever the number of scales.
+    two scales are needed, so that there is a ratio to enclose, and a
+    depth of at least 0; at depth 0 each bracket is the whole half-interval
+    from t0 to 0, so the bounds hold but say little.  The labels are
+    integers over 2^depth, exact at any depth; only the abscissae are
+    floats, each within 2^-52 of the exact orbit point, so at a depth where
+    that exceeds the spacing of the orbit points a bracket can be off by a
+    label.  The cost is about depth^2 / 2 steps of one vectorised walk,
+    whatever the number of scales.
     """
     if t0 not in (-1.0, 1.0):
         raise ValueError("t0 must be -1 or 1")
     if not 0 < k_min < k_max:
         raise ValueError("need 0 < k_min < k_max")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     eps = 2.0 ** (-depth)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
@@ -289,8 +293,9 @@ class ExperimentReport(Report):
     guided systems.
 
     ``h`` intertwines the two underlying dynamical systems (computed
-    through the standard intermediate); the dyadic table certifies that h
-    fixes the cell endpoints, hence maps each J_m to itself, while the two
+    through the standard intermediate); the dyadic table, which runs
+    through the outer endpoint of the deeper cell, certifies that h fixes
+    the cell endpoints, hence maps each J_m to itself, while the two
     flat points live in the interiors of *different* cells.  No
     homeomorphism can then match the guiding sets.
     """
@@ -318,13 +323,14 @@ class ExperimentReport(Report):
 DYADIC_TOL = 1e-3
 
 
-def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
-                          m_max: int = 8) -> ExperimentReport:
+def nonregular_experiment(n: int, k: int,
+                          grid: int = DEFAULT_GRID) -> ExperimentReport:
     """Run the non-isomorphism experiment for flat cells J_n vs J_k.
 
     Builds the two flat-point configurations, computes the candidate
     intertwiner h through the standard intermediate, checks the dyadic
-    fixed points up to ``m_max`` against ``DYADIC_TOL``, and locates the
+    fixed points 1 - 2^-m against ``DYADIC_TOL`` for m = 1 .. max(8, n + 1,
+    k + 1), through the outer endpoint of the deeper cell, and locates the
     flat points and the image of the first one.  The verdict is
     ``"non-isomorphic"`` only if no dyadic point drifts beyond
     ``DYADIC_TOL`` (a drift means a misconfigured solver), the image lies
@@ -337,8 +343,7 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
     Raises
     ------
     ValueError
-        If n == k or either index is < 1 (no contradiction derivable), or
-        m_max < 1 (no dyadic point to check).
+        If n == k or either index is < 1 (no contradiction derivable).
     BadSpec
         If a flat-point family cannot be built, e.g. for n > 51.
     NotInvertible
@@ -349,14 +354,12 @@ def nonregular_experiment(n: int, k: int, grid: int = DEFAULT_GRID,
         raise ValueError("need two distinct cells: n != k")
     if n < 1 or k < 1:
         raise ValueError("cell indices must be >= 1")
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     pair_n = perturbed_flat_pair(n)
     pair_k = perturbed_flat_pair(k)
 
     h = conjugate(pair_n, pair_k, grid=grid)
 
-    table = dyadic_fixed_point_check(h, pair_n, m_max=m_max)
+    table = dyadic_fixed_point_check(h, pair_n, m_max=max(8, n + 1, k + 1))
     max_dev = max(table.deviations)
 
     lam = pair_n.flat_points[0]

@@ -182,10 +182,7 @@ def cmd_probe(args) -> int:
 def cmd_nonregular(args) -> int:
     if args.n == args.k or args.n < 1 or args.k < 1:
         raise UsageError("need distinct cell indices --n != --k, both >= 1")
-    if args.m_max < 1:
-        raise UsageError("--m-max must be >= 1")
-    report = analysis.nonregular_experiment(
-        args.n, args.k, grid=args.grid, m_max=args.m_max)
+    report = analysis.nonregular_experiment(args.n, args.k, grid=args.grid)
     _atomic_write(args.out / "experiment.json", report.to_json() + "\n")
     print(f"verdict: {report.verdict}")
     return EXIT_OK if report.verdict == "non-isomorphic" else EXIT_QUANTITATIVE
@@ -237,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--grid", "--out")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--m-max", type=int, default=8)
 
     return ap
 

@@ -36,8 +36,8 @@ label order; each node then keeps the label of one word that reaches it,
 and the labels are sorted alongside the nodes, so h still fixes the
 anchors and increases strictly.
 
-The log's ``residual`` is sup |Th - h| for one application of T, a
-diagnostic that nothing gates on, so :func:`retarget` reads the target's
+The log's ``residual`` is sup |Th - h| for one :func:`contraction_step`,
+a diagnostic that nothing gates on, so :func:`retarget` reads the target's
 h off its labelled orbit and computes no residual for it.  T's pull-back
 is solved by bisection, so on a complete grid the residual measures the
 bisection error of T, not an error of h.  Where nodes are lost it is
@@ -148,27 +148,6 @@ class BranchInverse:
         return out
 
 
-def _operator(pair: MapPair, nodes: np.ndarray):
-    """The halving pull-back operator T of `pair` on `nodes`.
-
-    Returns the step mapping node values of g to node values of Tg.  The
-    branch inverses of the nodes are solved once, here; the per-branch
-    running maximum repairs 1-ulp bisection wiggle so that monotonicity
-    of the iterates survives exact comparisons.  The branches must be
-    invertible (:func:`~pconfig.families.check_branches_invertible`).
-    """
-    fz = BranchInverse(pair).pull_back(nodes)
-    left = nodes <= 0.0
-    fz[left] = np.maximum.accumulate(fz[left])
-    fz[~left] = np.maximum.accumulate(fz[~left])
-    chi = np.where(left, -1.0, 1.0)
-
-    def step(values):
-        return np.maximum.accumulate(
-            0.5 * (np.interp(fz, nodes, values) + chi))
-    return step
-
-
 def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     """One application of the halving pull-back operator to `g`.
 
@@ -177,7 +156,9 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     resolution: within 1e-14 of the exact inverse for regular branches
     (quadratic(0.249): 5.7e-15), and near a flat point anywhere on the
     interval where the float branch is constant (3.1e-7 either side of
-    perturbed_flat(2)'s).
+    perturbed_flat(2)'s).  The per-branch running maximum repairs 1-ulp
+    bisection wiggle so that monotonicity of the iterates survives exact
+    comparisons.
 
     Raises
     ------
@@ -190,8 +171,14 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     if not g.fixes_anchors():
         raise AnchorsNotFixed("iterate must fix -1, 0 and 1 exactly at nodes")
     check_branches_invertible(pair)
-    step = _operator(pair, g.nodes)
-    return MonotoneFunction(g.nodes, step(g.values))
+    fz = BranchInverse(pair).pull_back(g.nodes)
+    left = g.nodes <= 0.0
+    fz[left] = np.maximum.accumulate(fz[left])
+    fz[~left] = np.maximum.accumulate(fz[~left])
+    chi = np.where(left, -1.0, 1.0)
+    values = np.maximum.accumulate(
+        0.5 * (np.interp(fz, g.nodes, g.values) + chi))
+    return MonotoneFunction(g.nodes, values)
 
 
 # --------------------------------------------------------------------------
@@ -321,9 +308,9 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     # because perfbench pins it: test_spans.py asserts 100 evaluations per
     # node and DeepSolve.required names the conjugacy.pullback and
     # conjugacy.solve spans (ROADMAP items 6 and 7)
-    step = _operator(pair, h.nodes)
     log = ConvergenceLog(
-        residual=float(np.max(np.abs(step(h.values) - h.values))),
+        residual=float(np.max(np.abs(
+            contraction_step(h, pair).values - h.values))),
         grid=int(h.grid_size),
         max_local_variation=h.max_local_variation,
         strictly_increasing=h.is_strictly_increasing(),

@@ -3,10 +3,11 @@
 Every error about a pair, a sampled function or a computation on them
 derives from :class:`PConfigError`, so callers can catch the whole family
 with one clause.  An argument outside its stated range (a grid below
-``MIN_GRID``, an endpoint other than -1 or 1, a scale range, cell indices,
-orbit bases) raises the built-in ``ValueError``, and ``identity()``
-without a size a ``TypeError``, as Python's own functions do; the CLI
-checks each such argument before calling the library.  Validation of map
+``MIN_GRID``, an endpoint other than -1 or 1, a scale range, a negative
+enclosure depth, cell indices, orbit bases) raises the built-in
+``ValueError``, and ``identity()`` without a size a ``TypeError``, as
+Python's own functions do; the CLI checks each such argument before
+calling the library.  Validation of map
 pairs does *not* raise: an invalid configuration is a legitimate result
 (classification ``"invalid"``), not an error.  Nor do the other verdicts:
 a drifting dyadic check makes the flat-cell experiment ``"inconclusive"``

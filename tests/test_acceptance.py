@@ -148,7 +148,7 @@ def test_criterion_09_nonsmoothness_witness(quad02, quad02_solved_64k):
 
 
 def test_criterion_10_flat_cell_experiment():
-    reports = [pc.nonregular_experiment(2, 3, grid=g, m_max=8)
+    reports = [pc.nonregular_experiment(2, 3, grid=g)
                for g in (4097, 8193)]
     ok = all(
         r.verdict == "non-isomorphic"

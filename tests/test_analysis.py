@@ -13,12 +13,14 @@ from pconfig import analysis
 from pconfig import (
     ScaleBelowGrid,
     build_family,
+    conjugate,
     difference_quotients,
     dyadic_fixed_point_check,
     identity,
     make_monotone,
     nonregular_experiment,
     oracle_quotient_enclosure,
+    perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
 )
@@ -137,6 +139,16 @@ def test_oracle_enclosure_needs_two_scales(quad02):
     with pytest.raises(ValueError):
         # scale 2^0 is the whole interval: no scale is finer than 1/2
         oracle_quotient_enclosure(quad02, 1.0, k_min=0, k_max=8)
+
+
+def test_oracle_enclosure_needs_nonnegative_depth(quad02):
+    for depth in (-1, -2):
+        with pytest.raises(ValueError, match="depth"):
+            oracle_quotient_enclosure(quad02, 1.0, k_min=1, k_max=2,
+                                      depth=depth)
+    # the one bracket at depth 0 runs from t0 to 0, where h moves by 1
+    enc = oracle_quotient_enclosure(quad02, 1.0, k_min=1, k_max=2, depth=0)
+    assert enc.quotient_bounds == ((0.0, 2.0), (0.0, 4.0))
 
 
 def _label_word(t0, j, depth):
@@ -290,16 +302,23 @@ def test_experiment_1_2():
     assert 0.75 < report.flat_point_k < 0.875
 
 
-@pytest.mark.parametrize("n, k, grid, m_max", [
-    (1, 2, 257, 8), (2, 1, 4097, 12), (2, 3, 4097, 8), (3, 5, 257, 12),
-    (6, 4, 4097, 12),
+@pytest.mark.parametrize("n, k, grid, rows", [
+    (1, 2, 257, 8), (2, 1, 4097, 8), (2, 3, 4097, 8), (3, 5, 257, 8),
+    (6, 4, 4097, 8), (9, 10, 4097, 11),
 ])
-def test_experiment_dyadic_points_exact(n, k, grid, m_max):
+def test_experiment_dyadic_points_exact(n, k, grid, rows):
     # the flat-point pairs map the dyadic points onto each other exactly,
-    # so h moves none of them by even one ulp
-    report = nonregular_experiment(n, k, grid=grid, m_max=m_max)
+    # so h moves none of them by even one ulp; the table has at least 8
+    # rows and runs through 1 - 2^-(max(n, k) + 1), the deeper cell's
+    # outer endpoint
+    report = nonregular_experiment(n, k, grid=grid)
+    assert report.dyadic_table.m_values == tuple(range(1, rows + 1))
     assert report.max_dyadic_deviation == 0.0
     assert report.verdict == "non-isomorphic"
+    pair_n = perturbed_flat_pair(n)
+    h = conjugate(pair_n, perturbed_flat_pair(k), grid=grid)
+    table = dyadic_fixed_point_check(h, pair_n, m_max=12)
+    assert max(table.deviations) == 0.0
 
 
 def test_experiment_rejects_equal_cells():
@@ -307,12 +326,6 @@ def test_experiment_rejects_equal_cells():
         nonregular_experiment(2, 2)
     with pytest.raises(ValueError):
         nonregular_experiment(0, 1)
-
-
-def test_experiment_rejects_m_max_below_one():
-    # with no dyadic point to check, the deviation table would be empty
-    with pytest.raises(ValueError, match="m_max"):
-        nonregular_experiment(2, 3, grid=1025, m_max=0)
 
 
 def test_dyadic_deviation_detected_for_wrong_intertwiner(pf2):

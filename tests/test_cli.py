@@ -361,9 +361,10 @@ def test_nonregular_equal_cells_exits_two(tmp_path):
     assert run(["nonregular", "--n", 2, "--k", 2, "--out", tmp_path]) == 2
 
 
-def test_nonregular_m_max_zero_exits_two(tmp_path, capsys):
-    assert run(["nonregular", "--m-max", 0, "--out", tmp_path]) == 2
-    assert capsys.readouterr().err == "error: --m-max must be >= 1\n"
+def test_nonregular_has_no_m_max_flag(tmp_path):
+    # the dyadic table's range follows from --n and --k
+    assert run(["nonregular", "--m-max", 8, "--out", tmp_path]) == 2
+    assert not (tmp_path / "experiment.json").exists()
 
 
 def test_nonregular_cell_without_interior_float_exits_two(tmp_path, capsys):

@@ -280,6 +280,17 @@ def test_convergence_log_contract(quad02, quad02_solved):
     assert all(d[i + 1] <= d[i] + 1e-15 for i in range(1, len(d) - 1))
 
 
+@pytest.mark.parametrize("pair", [
+    quadratic_pair(0.2), quadratic_pair(0.249), perturbed_flat_pair(2),
+], ids=["quadratic(0.2)", "quadratic(0.249)", "perturbed_flat(2)"])
+def test_residual_is_one_contraction_step(pair):
+    # quadratic(0.249) loses nodes at this grid, so its h is not a fixed
+    # point of T at grid level; the residual is still exactly one step
+    h, log = conjugate_to_standard(pair, grid=4097)
+    step = contraction_step(h, pair)
+    assert log.residual == float(np.max(np.abs(step.values - h.values)))
+
+
 def test_solver_output_strictly_increasing(quad02_solved):
     h, _ = quad02_solved
     assert h.is_strictly_increasing()
