@@ -198,7 +198,6 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
         raise ValueError("need 0 < k_min < k_max")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    eps = 2.0 ** (-depth)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
     scales = np.array([2.0 ** (-float(k)) for k in ks])
@@ -218,10 +217,15 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
         bits[b] = sign * (x - t0) < scales
 
     q_bounds = []
-    for col, s in zip(bits.T.tolist(), scales.tolist()):
+    for col, k in zip(bits.T.tolist(), ks):
         j = sum(1 << b for b, bit in enumerate(col) if bit)
-        # |h| moves by exactly j * eps at the bracketing orbit points
-        q_bounds.append((j * eps / s, (j + 1) * eps / s))
+        # |h| moves by exactly j 2^-depth at the bracketing orbit points;
+        # past 2^53 j is rounded down and j + 1 up to floats, and the
+        # division by the scale 2^-k is exact
+        lo, hi = float(j), float(j + 1)
+        lo = lo if lo <= j else math.nextafter(lo, 0.0)
+        hi = hi if hi >= j + 1 else math.nextafter(hi, math.inf)
+        q_bounds.append((math.ldexp(lo, k - depth), math.ldexp(hi, k - depth)))
 
     r_bounds = tuple(
         _ratio_bounds(q_bounds[i + 1], q_bounds[i])
@@ -346,9 +350,6 @@ def nonregular_experiment(n: int, k: int,
         If n == k or either index is < 1 (no contradiction derivable).
     BadSpec
         If a flat-point family cannot be built, e.g. for n > 51.
-    NotInvertible
-        If the conjugation of the second pair to the standard pair has a
-        plateau at grid resolution.
     """
     if n == k:
         raise ValueError("need two distinct cells: n != k")
@@ -370,8 +371,8 @@ def nonregular_experiment(n: int, k: int,
     image_in_cell = cell_n[0] <= h_lam <= cell_n[1]
     omega_interior = cell_k[0] < omega_pt < cell_k[1]
     disjoint = min(cell_n[1], cell_k[1]) <= max(cell_n[0], cell_k[0])
-    # a plateau of h_k stops the inversion inside conjugate, and one of
-    # h_n survives the composition, so checking h covers both factors
+    # h_k's labels are distinct and sorted, so its inverse always exists;
+    # a plateau of h can only come from the composition, which this sees
     homeo = h.is_strictly_increasing()
 
     conclusive = (max_dev <= DYADIC_TOL and image_in_cell and omega_interior

@@ -67,9 +67,10 @@ def _atomic_write(path: Path, text: str):
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of an input file."""
+    """The UTF-8 text of an input file, its line ends as written."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            return f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

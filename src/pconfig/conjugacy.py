@@ -328,8 +328,8 @@ def conjugate(source: MapPair, target: MapPair,
 
     Raises
     ------
-    NotInvertible
-        If the target's conjugation has a plateau at grid resolution.
+    BranchNotInvertible
+        If a branch of either pair decreases or is flat on an interval.
     """
     h_src, _ = conjugate_to_standard(source, grid=grid)
     return retarget(h_src, target, grid=grid)
@@ -350,8 +350,6 @@ def retarget(h_source: MonotoneFunction, target: MapPair,
     ------
     BranchNotInvertible
         If a branch of `target` decreases or is flat on an interval.
-    NotInvertible
-        If the target's conjugation has a plateau at grid resolution.
     """
     if target.family == "standard":
         return h_source

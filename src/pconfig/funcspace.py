@@ -249,62 +249,51 @@ def _csv_rows(nodes: np.ndarray, values: np.ndarray) -> str:
 
 
 def from_csv(text: str) -> MonotoneFunction:
-    """Parse the CSV format written by :func:`to_csv`; blank lines are
-    skipped.
-
-    Text in the exact form :func:`to_csv` writes is parsed vectorised,
-    in line-aligned slices of about ``_CSV_READ_CHARS`` characters; if any
-    slice is in another form, blank lines or a fault included, the whole
-    text is scanned row by row, so a fault is named by its line.
+    """Parse h.csv in the one form :func:`to_csv` writes: the header line
+    ``t,value``, then rows of two numbers ``<t>,<value>`` in the characters
+    ``%.17g`` writes, each ended by ``\\n`` (the last newline may be
+    missing).  Anything else is refused, blank lines, CR/LF line ends,
+    whitespace and spellings such as ``1_0`` or ``nan`` included.
 
     Raises
     ------
     BadDomain
         If the header is missing or a row is not exactly two numbers; the
-        message names the line.
+        message names the first such line.
     """
     flat = _parse_csv_body(text)
-    if flat is not None:
-        nodes, values = flat.reshape(-1, 2).T.copy()
-        # drop the interleaved numbers before the construction's checks
-        # allocate their differences: 4 MB less peak at 2^18+1 rows
-        del flat
-        return MonotoneFunction(nodes, values)
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or lines[0][1].strip() != CSV_HEADER:
-        raise BadDomain(f"expected header {CSV_HEADER!r}")
-    nodes, values = [], []
-    for i, line in lines[1:]:
-        try:
-            t, v = line.split(",")
-            nodes.append(float(t))
-            values.append(float(v))
-        except ValueError:
-            raise BadDomain(
-                f"line {i}: expected two numbers 't,value', got {line!r}") from None
-    return MonotoneFunction(np.array(nodes), np.array(values))
+    nodes, values = flat.reshape(-1, 2).T.copy()
+    # drop the interleaved numbers before the construction's checks
+    # allocate their differences: 4 MB less peak at 2^18+1 rows
+    del flat
+    return MonotoneFunction(nodes, values)
 
 
 #: The characters of the numbers :func:`to_csv` writes.
 _NUMBER_BYTES = b"0123456789.eE+-"
 
 
-def _parse_csv_body(text: str) -> np.ndarray | None:
-    """The numbers of `text`, row after row, if it is the header and then
-    rows of two numbers, one comma each, with no blank line; else None.
-
-    The rows are parsed in line-aligned slices of about
-    ``_CSV_READ_CHARS`` characters, so no copy of the whole text is made.
-    """
+def _parse_csv_body(text: str) -> np.ndarray:
+    """The numbers of `text`, row after row, parsed vectorised in
+    line-aligned slices of about ``_CSV_READ_CHARS`` characters, so no copy
+    of the whole text is made; only a slice that fails is read again line
+    by line, to name its bad line."""
     if not text.startswith(CSV_HEADER + "\n"):
-        return None
+        raise BadDomain(f"expected header {CSV_HEADER!r}")
     start = len(CSV_HEADER) + 1
     parts = []
     while start < len(text):
         end = text.find("\n", start + _CSV_READ_CHARS - 1) + 1 or len(text)
         flat = _parse_csv_slice(text[start:end])
         if flat is None:
-            return None
+            # a slice fails where one of its lines does; lines are counted
+            # only here, so well-formed text takes no extra pass
+            lines = text[start:end].removesuffix("\n").split("\n")
+            bad = next(i for i, line in enumerate(lines)
+                       if _parse_csv_slice(line) is None)
+            number = text.count("\n", 0, start) + 1 + bad
+            raise BadDomain(f"line {number}: expected two numbers "
+                            f"'t,value', got {lines[bad]!r}")
         parts.append(flat)
         start = end
     return np.concatenate(parts) if parts else np.empty(0)

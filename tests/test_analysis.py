@@ -214,10 +214,10 @@ def test_oracle_enclosure_is_the_scalar_bisection(spec, k_min, k_max,
     (-0.2, 90, 8),
 ])
 def test_oracle_enclosure_exact_beyond_float_labels(c, depth, k_max, t0):
-    # each bracket must be two adjacent labels whose orbit points straddle
-    # the query scale up to 2^-52, the float error of the abscissae the
-    # enclosure brackets with.  At depth 22 the points lie far wider apart
-    # than that, so the straddle pins each bracket exactly.  At depth 60,
+    # each bracket must be two labels, adjacent below 2^53, whose orbit
+    # points straddle the query scale up to 2^-52, the float error of the
+    # abscissae the enclosure brackets with.  At depth 22 the points lie
+    # far wider apart than that, so the straddle pins each bracket exactly.  At depth 60,
     # where 1 - j 2^-60 is no float, it need not: for quadratic(-0.1) at
     # k = 6 the upper point lies 6.8e-17 short of s, at k = 8 the lower
     # one 2.4e-17 beyond it.  At depth 90 every query of quadratic(-0.2)
@@ -227,17 +227,23 @@ def test_oracle_enclosure_exact_beyond_float_labels(c, depth, k_max, t0):
                                     depth=depth)
     for k, (lo, hi) in zip(enc.k_values, enc.quotient_bounds):
         s = 2.0 ** -k
-        # the bounds are j 2^-depth / s and (j + 1) 2^-depth / s rounded to
-        # floats, so past 2^53 they fix j only to within half a float
-        # spacing; h increases, so each straddle is checked at the end of
-        # that window where it is hardest.  Below 2^53, j_min == j_max
-        lo_j, hi_j = int(lo * s * 2 ** depth), int(hi * s * 2 ** depth)
-        w_lo, w_hi = (int(math.ulp(j)) // 2 for j in (lo_j, hi_j))
-        j_min = max(lo_j - w_lo, hi_j - 1 - w_hi)
-        j_max = min(lo_j + w_lo, hi_j - 1 + w_hi)
-        assert j_min <= j_max
-        assert _inward_distance(pair, t0, j_max, depth) < s + 2.0 ** -52
-        assert _inward_distance(pair, t0, j_min + 1, depth) >= s - 2.0 ** -52
+        # the bounds are the bracket's labels, j and j + 1 steps of
+        # 2^-depth, over s; past 2^53 j is rounded down and j + 1 up to
+        # floats, which widens the bracket by at most a float spacing each
+        # side.  Below 2^53 the bracket is two adjacent labels
+        lo_j, hi_j = (int(b * s * 2 ** depth) for b in (lo, hi))
+        assert 1 <= hi_j - lo_j <= 1 + 2 * math.ulp(hi_j)
+        assert _inward_distance(pair, t0, lo_j, depth) < s + 2.0 ** -52
+        assert _inward_distance(pair, t0, hi_j, depth) >= s - 2.0 ** -52
+
+
+def test_oracle_enclosure_bounds_round_outward_past_float_labels(quad_m02):
+    # at depth 90 the labels j of k = 6, 7 pass 2^53; rounded to nearest,
+    # each scale's two bounds came out as one float
+    enc = oracle_quotient_enclosure(quad_m02, 1.0, k_min=6, k_max=8,
+                                    depth=90)
+    for k, (lo, hi) in zip(enc.k_values, enc.quotient_bounds):
+        assert lo < hi and hi - lo >= 2.0 ** (k - 90)
 
 
 def test_oracle_enclosure_standard_pair_is_linear():

@@ -323,6 +323,19 @@ def test_probe_rejects_csv_with_infinite_slope(tmp_path):
                 "--out", tmp_path]) == 2
 
 
+def test_probe_refuses_crlf_copy_of_h_csv(tmp_path, capsys):
+    from pconfig import funcspace
+    csv_path = tmp_path / "h.csv"
+    text = funcspace.to_csv(funcspace.identity(257))
+    csv_path.write_bytes(text.replace("\n", "\r\n").encode())
+    out = tmp_path / "out"
+    assert run(["probe", "--h-csv", csv_path, "--scales", "2:4",
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "probe.json").exists()
+
+
 @pytest.mark.parametrize("row", ["abc,0", "1", "0,0,7"])
 def test_probe_rejects_malformed_csv_row(row, tmp_path, capsys):
     csv_path = tmp_path / "h.csv"

@@ -32,6 +32,7 @@ from pconfig.conjugacy import (
     _BISECT_BLOCK,
     _BISECT_STEPS,
     _bisect_increasing,
+    _labelled_h,
     _labelled_orbit,
     retarget,
 )
@@ -451,6 +452,29 @@ def _retarget_by_solving(h_source, target, grid):
     bits."""
     return compose(invert(conjugate_to_standard(target, grid=grid)[0]),
                    h_source)
+
+
+@pytest.mark.parametrize("grid", [257, 4097, 65537])
+@pytest.mark.parametrize("spec", [
+    {"family": "quadratic", "c": 0.2}, {"family": "quadratic", "c": -0.2},
+    {"family": "quadratic", "c": 0.249}, {"family": "quadratic", "c": -0.249},
+    {"family": "quadratic", "c": 0.2480},
+    {"family": "polynomial", "delta1": [0.25, 0.5, 0.75, 0, -0.5]},
+    {"family": "perturbed_flat", "n": 1}, {"family": "perturbed_flat", "n": 2},
+    {"family": "perturbed_flat", "n": 6},
+], ids=["quadratic(0.2)", "quadratic(-0.2)", "quadratic(0.249)",
+        "quadratic(-0.249)", "quadratic(0.2480)", "T_3", "perturbed_flat(1)",
+        "perturbed_flat(2)", "perturbed_flat(6)"])
+def test_conjugate_inverts_every_target(spec, grid):
+    # the target's h is read off its labelled orbit: distinct dyadic
+    # labels, sorted, with the anchors pinned, so its inverse always
+    # exists, lost nodes and flat points included.  The composition can
+    # still round two values of the result together (quadratic(0.249) at
+    # 4097), which is why nonregular_experiment checks h itself
+    target = build_family(spec)
+    h_target = _labelled_h(target, grid)
+    assert h_target.is_strictly_increasing() and h_target.fixes_anchors()
+    conjugate(standard_pair(), target, grid=grid)
 
 
 @pytest.mark.parametrize("grid", [4097, 65537])

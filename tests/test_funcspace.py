@@ -299,19 +299,21 @@ def test_csv_rejects_row_that_is_not_two_numbers(row):
         from_csv(f"t,value\n-1,-1\n{row}\n1,1\n")
 
 
-def test_csv_rows_parse_alike_with_and_without_blank_lines():
-    # a blank line sends the text through the row-by-row scan
-    rng = np.random.default_rng(3)
-    nodes = np.concatenate(([-1.0], np.sort(rng.uniform(-1, 1, 500)), [1.0]))
-    values = np.concatenate(([-1.0], np.sort(rng.uniform(-1, 1, 500)), [1.0]))
-    rows = [f"{t!r},{v:.6e}" for t, v in zip(nodes.tolist(), values.tolist())]
-    text = "t,value\n" + "\n".join(rows)
-    spaced = text.replace("\n", "\n\n", 3) + "\n"
-    assert _parse_csv_body(text) is not None and _parse_csv_body(spaced) is None
-    f = from_csv(text)
-    g = from_csv(spaced)
-    assert f.nodes.tobytes() == g.nodes.tobytes() == nodes.tobytes()
-    assert f.values.tobytes() == g.values.tobytes()
+@pytest.mark.parametrize("text, message", [
+    ("t,value\n\n-1,-1\n1,1\n", "line 2: .*''"),
+    ("t,value\r\n-1,-1\r\n1,1\r\n", "expected header"),
+    ("t,value\n-1,-1\r\n1,1\n", r"line 2: .*'-1,-1\\r'"),
+    ("t,value\n-1, -1\n1,1\n", "line 2: .*'-1, -1'"),
+    ("t,value \n-1,-1\n1,1\n", "expected header"),
+    ("t,value\n-1,-1\n0.1_2,0.5\n1,1\n", "line 3: .*'0.1_2,0.5'"),
+    ("t,value\n-1,-1\nnan,0\n1,1\n", "line 3: .*'nan,0'"),
+], ids=["blank-line", "crlf", "crlf-row", "padded-number", "padded-header",
+        "underscore", "nan"])
+def test_csv_refuses_what_to_csv_does_not_write(text, message):
+    # from_csv reads only the form to_csv writes, and names the first
+    # line that is not in it
+    with pytest.raises(BadDomain, match=message):
+        from_csv(text)
 
 
 def test_csv_short_row_is_named_beside_a_long_one():
