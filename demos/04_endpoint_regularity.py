@@ -42,7 +42,8 @@ for i, k in enumerate(probe.k_values):
           f"[{lo:10.4f}, {hi:10.4f}]   {ratio}")
 
 print()
-lo, hi = enc.ratio_envelope
+lo = min(b[0] for b in enc.ratio_bounds)
+hi = max(b[1] for b in enc.ratio_bounds)
 print(f"oracle-confirmed ratio oscillation range: [{lo:.4f}, {hi:.4f}]")
 gm = (probe.quotients[-1] / probe.quotients[0]) ** (1 / 7)
 print(f"geometric-mean ratio across the window:   {gm:.4f} "

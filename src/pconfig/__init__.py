@@ -67,8 +67,6 @@ from .funcspace import (
     from_csv,
     identity,
     invert,
-    make_monotone,
-    sup_distance,
     to_csv,
 )
 

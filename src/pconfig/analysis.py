@@ -30,6 +30,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -154,22 +155,21 @@ class QuotientEnclosure(Report):
     ratio_bounds: tuple
     depth: int
 
-    @property
-    def ratio_envelope(self) -> tuple:
-        lo = min(b[0] for b in self.ratio_bounds)
-        hi = max(b[1] for b in self.ratio_bounds)
-        return (lo, hi)
-
-    def geometric_mean_ratio_bounds(self) -> tuple:
-        lo, hi = _ratio_bounds(self.quotient_bounds[-1], self.quotient_bounds[0])
-        n = len(self.k_values) - 1
-        return (lo ** (1.0 / n), hi ** (1.0 / n))
-
 
 def _ratio_bounds(num: tuple, den: tuple) -> tuple:
-    """Bounds on num/den from bounds on both; a lower bound of 0 on the
-    denominator leaves the ratio unbounded above."""
-    return (num[0] / den[1], num[1] / den[0] if den[0] > 0.0 else math.inf)
+    """Bounds on num/den from nonnegative bounds on both, each quotient
+    stepped one float outward where rounding put it inside the exact one;
+    a lower bound of 0 on the denominator leaves the ratio unbounded
+    above."""
+    lo = num[0] / den[1]
+    if Fraction(lo) * Fraction(den[1]) > Fraction(num[0]):
+        lo = math.nextafter(lo, -math.inf)
+    if den[0] == 0.0:
+        return (lo, math.inf)
+    hi = num[1] / den[0]
+    if Fraction(hi) * Fraction(den[0]) < Fraction(num[1]):
+        hi = math.nextafter(hi, math.inf)
+    return (lo, hi)
 
 
 def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
@@ -260,10 +260,6 @@ class DyadicCheckTable(Report):
     deviations: tuple
     resolved: tuple
     orbit_agrees: bool
-
-    def max_resolved_deviation(self) -> float:
-        devs = [d for d, r in zip(self.deviations, self.resolved) if r]
-        return max(devs) if devs else float("nan")
 
 
 def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,

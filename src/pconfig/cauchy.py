@@ -31,7 +31,8 @@ from . import funcspace
 # checks that its tracer wraps this import site (ROADMAP item 6)
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
 from .errors import AnchorsNotFixed, InvalidPair
-from .families import MapPair, pairs_agree_on_grid, quadratic_pair, standard_pair, validate
+from .families import (MIN_GRID, MapPair, pairs_agree_on_grid, quadratic_pair,
+                       standard_pair, validate)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -117,7 +118,11 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         configuration (guided pairs are rejected here: the construction's
         uniqueness argument needs strictly increasing branches), or if
         an explicit `target` is not additive.
+    ValueError
+        If `grid` is below ``MIN_GRID``, whichever target is used.
     """
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be >= {MIN_GRID}")
     classification = validate(pair).classification
     if classification not in ("regular", "quasi-regular"):
         raise InvalidPair(

@@ -15,8 +15,10 @@ Conventions
   an explicit tolerance argument.
 * :func:`invert` is the one inverse; it accepts only strictly increasing
   functions with full range [-1, 1].
-* All values are immutable after construction and every operation is pure,
-  so concurrent read access is safe.
+* The constructor owns its samples: it copies any input the caller can
+  still write, a list or a writeable array, and passes a read-only float
+  array through.  Samples are immutable after construction and every
+  operation is pure, so concurrent read access is safe.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class MonotoneFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        nodes = _read_only(self.nodes)
+        values = _read_only(self.values)
         if nodes.ndim != 1 or values.ndim != 1 or nodes.size != values.size:
             raise BadDomain("nodes and values must be 1-d arrays of equal length")
         if nodes.size < 2:
@@ -71,8 +73,6 @@ class MonotoneFunction:
                 raise BadDomain("slope between adjacent nodes is not finite")
         if values[0] < DOMAIN_LEFT or values[-1] > DOMAIN_RIGHT:
             raise NonMonotoneInput("values must lie within [-1, 1]")
-        nodes.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -108,35 +108,19 @@ class MonotoneFunction:
             and self.values[idx] == 0.0
         )
 
-    # -- evaluation ------------------------------------------------------
-
-    def __call__(self, t):
-        return evaluate(self, t)
-
     def __repr__(self):
         return f"MonotoneFunction({self.grid_size} nodes)"
 
 
-def make_monotone(nodes, values) -> MonotoneFunction:
-    """Validate samples and wrap them as a :class:`MonotoneFunction`.
-
-    Parameters
-    ----------
-    nodes :
-        Strictly increasing abscissae spanning [-1, 1], length >= 2.
-    values :
-        Ordinates, same length, nondecreasing (exact comparison).
-
-    Raises
-    ------
-    NonMonotoneInput
-        If the values decrease anywhere or leave [-1, 1].
-    BadDomain
-        If the nodes do not form a strictly increasing span of [-1, 1],
-        or a slope between adjacent nodes is not finite.
-    """
-    return MonotoneFunction(np.array(nodes, dtype=float),
-                            np.array(values, dtype=float))
+def _read_only(samples) -> np.ndarray:
+    """`samples` as a float array no caller can write: a read-only float
+    array as it is, anything else copied and made read-only."""
+    if (isinstance(samples, np.ndarray) and samples.dtype == float
+            and not samples.flags.writeable):
+        return samples
+    arr = np.array(samples, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def identity(n: int | None = None, nodes=None) -> MonotoneFunction:
@@ -146,8 +130,7 @@ def identity(n: int | None = None, nodes=None) -> MonotoneFunction:
         if n is None:
             raise TypeError("identity() needs n or nodes")
         nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
-    nodes = np.asarray(nodes, dtype=float)
-    return MonotoneFunction(nodes, nodes.copy())
+    return MonotoneFunction(nodes, nodes)
 
 
 def evaluate(f: MonotoneFunction, t):
@@ -195,20 +178,6 @@ def invert(f: MonotoneFunction) -> MonotoneFunction:
     if f.values[0] != DOMAIN_LEFT or f.values[-1] != DOMAIN_RIGHT:
         raise NotInvertible("range must be all of [-1, 1] to invert")
     return MonotoneFunction(f.values, f.nodes)
-
-
-def sup_distance(f: MonotoneFunction, g: MonotoneFunction) -> float:
-    """Sup-norm distance, taken over the union of both node sets.
-
-    On sampled functions this is a true metric: zero iff the interpolants
-    agree on the union grid, symmetric, and triangle-inequality-compliant.
-    The reduction order is fixed (sorted union grid), so the result is
-    bit-deterministic.
-    """
-    grid = np.union1d(f.nodes, g.nodes)
-    return float(np.max(np.abs(
-        np.interp(grid, f.nodes, f.values) - np.interp(grid, g.nodes, g.values)
-    )))
 
 
 # -- serialization -----------------------------------------------------------
@@ -262,11 +231,13 @@ def from_csv(text: str) -> MonotoneFunction:
         message names the first such line.
     """
     flat = _parse_csv_body(text)
-    nodes, values = flat.reshape(-1, 2).T.copy()
+    columns = flat.reshape(-1, 2).T.copy()
+    # read-only, so the constructor takes the columns without a copy
+    columns.setflags(write=False)
     # drop the interleaved numbers before the construction's checks
     # allocate their differences: 4 MB less peak at 2^18+1 rows
     del flat
-    return MonotoneFunction(nodes, values)
+    return MonotoneFunction(*columns)
 
 
 #: The characters of the numbers :func:`to_csv` writes.

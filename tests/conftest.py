@@ -1,6 +1,7 @@
-"""Shared fixtures: built-in pairs and cached solver runs, the
-contraction iteration on a given grid, and the 120-bit orbit the
-library's float orbit is checked against.
+"""Shared fixtures: built-in pairs and cached solver runs, the sup
+distance of two functions on shared nodes, the contraction iteration on a
+given grid, and the 120-bit orbit the library's float orbit is checked
+against.
 
 The expensive conjugation solves are session-scoped so the whole suite
 pays for each grid size once.
@@ -11,14 +12,22 @@ import numpy as np
 import pytest
 
 from pconfig import (
+    MonotoneFunction,
     conjugate_to_standard,
     contraction_step,
     identity,
-    make_monotone,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
 )
+
+
+def sup_gap(f, g):
+    """sup |f - g| of two functions sampled on the same nodes.  Their
+    difference is linear between the nodes, so this is the sup over
+    [-1, 1] too."""
+    assert np.array_equal(f.nodes, g.nodes)
+    return float(np.max(np.abs(f.values - g.values)))
 
 
 #: The contraction iteration stops once two successive iterates are this
@@ -38,7 +47,7 @@ def iterate_contraction(pair, nodes, start=None):
     if start is None:
         g = identity(nodes=nodes)
     else:
-        g = make_monotone(nodes, np.interp(nodes, start.nodes, start.values))
+        g = MonotoneFunction(nodes, np.interp(nodes, start.nodes, start.values))
     distances = []
     while not distances or distances[-1] > STEP_TOL:
         assert len(distances) < MAX_STEPS, f"no convergence to {STEP_TOL}"

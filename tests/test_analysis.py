@@ -11,13 +11,13 @@ from conftest import EXACT_BITS, exact_maps
 
 from pconfig import analysis
 from pconfig import (
+    MonotoneFunction,
     ScaleBelowGrid,
     build_family,
     conjugate,
     difference_quotients,
     dyadic_fixed_point_check,
     identity,
-    make_monotone,
     nonregular_experiment,
     oracle_quotient_enclosure,
     perturbed_flat_pair,
@@ -42,7 +42,7 @@ def test_identity_quotients_are_one():
 
 def test_linear_exponent_is_one():
     nodes = np.linspace(-1, 1, 4097)
-    f = make_monotone(nodes, 0.5 * nodes)
+    f = MonotoneFunction(nodes, 0.5 * nodes)
     assert abs(difference_quotients(f, -1.0, 2, 9).holder_exponent - 1.0) <= 1e-6
 
 
@@ -109,10 +109,16 @@ def test_oracle_enclosure_frozen_values(quad02):
     trips loudly.
     """
     enc = oracle_quotient_enclosure(quad02, 1.0, k_min=6, k_max=13, depth=22)
-    lo, hi = enc.ratio_envelope
+    lo = min(b[0] for b in enc.ratio_bounds)
+    hi = max(b[1] for b in enc.ratio_bounds)
     assert 1.390 <= lo <= 1.397
     assert 1.835 <= hi <= 1.842
-    gm_lo, gm_hi = enc.geometric_mean_ratio_bounds()
+    # the geometric mean of the seven ratios is the seventh root of the
+    # last quotient over the first
+    first_lo, first_hi = enc.quotient_bounds[0]
+    last_lo, last_hi = enc.quotient_bounds[-1]
+    gm_lo = (last_lo / first_hi) ** (1 / 7)
+    gm_hi = (last_hi / first_lo) ** (1 / 7)
     assert abs(gm_lo - 1.6347) <= 2e-3 and abs(gm_hi - 1.6347) <= 2e-3
 
 
@@ -126,8 +132,6 @@ def test_oracle_enclosure_below_first_orbit_step(quad_m02):
         assert lo == 0.0 < hi
     for lo, hi in enc.ratio_bounds:
         assert lo == 0.0 and hi == np.inf
-    assert enc.ratio_envelope == (0.0, np.inf)
-    assert enc.geometric_mean_ratio_bounds() == (0.0, np.inf)
 
 
 def test_oracle_enclosure_needs_two_scales(quad02):
@@ -246,6 +250,23 @@ def test_oracle_enclosure_bounds_round_outward_past_float_labels(quad_m02):
         assert lo < hi and hi - lo >= 2.0 ** (k - 90)
 
 
+@pytest.mark.parametrize("c", [0.2, 0.1, -0.1, -0.2])
+@pytest.mark.parametrize("t0", [1.0, -1.0])
+def test_oracle_enclosure_ratio_bounds_round_outward(c, t0):
+    # each ratio bound holds the exact quotient of its own quotient
+    # bounds; rounded to nearest, 34 of these 112 sides lay inside it
+    enc = oracle_quotient_enclosure(quadratic_pair(c), t0, k_min=6, k_max=13,
+                                    depth=22)
+    q = enc.quotient_bounds
+    for (num_lo, num_hi), (den_lo, den_hi), (lo, hi) in zip(
+            q[1:], q, enc.ratio_bounds):
+        assert Fraction(lo) <= Fraction(num_lo) / Fraction(den_hi)
+        if den_lo == 0.0:
+            assert hi == math.inf
+        else:
+            assert Fraction(hi) >= Fraction(num_hi) / Fraction(den_lo)
+
+
 def test_oracle_enclosure_standard_pair_is_linear():
     enc = oracle_quotient_enclosure(standard_pair(), 1.0, 4, 8, depth=16)
     for lo, hi in enc.quotient_bounds:
@@ -280,7 +301,9 @@ def test_dyadic_check_solved_flat_pair(pf2):
     h, _ = conjugate_to_standard(pf2, grid=1025)
     table = dyadic_fixed_point_check(h, pf2, m_max=6)
     assert table.orbit_agrees
-    assert table.max_resolved_deviation() <= 1e-6
+    assert any(table.resolved)
+    assert all(d <= 1e-6
+               for d, r in zip(table.deviations, table.resolved) if r)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +359,7 @@ def test_experiment_rejects_equal_cells():
 
 def test_dyadic_deviation_detected_for_wrong_intertwiner(pf2):
     # a made-up map that moves the dyadic points shows up in the table
-    wrong = make_monotone([-1, 0, 0.9, 1], [-1, 0, 0.5, 1])
+    wrong = MonotoneFunction([-1, 0, 0.9, 1], [-1, 0, 0.5, 1])
     table = dyadic_fixed_point_check(wrong, pf2, m_max=4)
     assert max(table.deviations) > 1e-3
 

@@ -7,13 +7,13 @@ from pconfig import cauchy
 from pconfig import (
     AnchorsNotFixed,
     InvalidPair,
+    MonotoneFunction,
     NotInvertible,
     build_family,
     evaluate,
     fe_residual,
     identity,
     induced_system,
-    make_monotone,
     nonlinearity_gap,
     quadratic_pair,
     solve_nonlinear,
@@ -58,7 +58,7 @@ def test_gap_zero_for_identity():
 
 def test_gap_zero_for_sampled_linear():
     nodes = np.linspace(-1, 1, 257)
-    f = make_monotone(nodes, 0.5 * nodes)
+    f = MonotoneFunction(nodes, 0.5 * nodes)
     assert nonlinearity_gap(f) == 0.0
 
 
@@ -99,6 +99,16 @@ def test_solve_degenerate_choice_warns(std):
     assert cert.degenerate
     assert cert.nonlinearity_gap == 0.0
     assert cert.fe_residual <= 1e-12
+
+
+@pytest.mark.parametrize("target", [None, quadratic_pair(0.2), quadratic_pair(-0.2)],
+                         ids=["default", "same-pair", "other-pair"])
+@pytest.mark.parametrize("grid", [5, -3, 256])
+def test_solve_checks_the_grid_for_every_target(quad02, target, grid):
+    # a target that matches the pair returns the linear solution without
+    # solving, and must refuse the grid as the solving path does
+    with pytest.raises(ValueError, match="grid must be >= 257"):
+        solve_nonlinear(quad02, target=target, grid=grid)
 
 
 def test_solve_rejects_invalid_pair(pf2):
@@ -171,12 +181,12 @@ def test_induced_by_solution_is_standard(quad02, quad02_solved, std):
 
 
 def test_induced_rejects_plateau(quad02):
-    f = make_monotone([-1, -0.5, 0, 1], [-1, 0.0, 0.0, 1])
+    f = MonotoneFunction([-1, -0.5, 0, 1], [-1, 0.0, 0.0, 1])
     with pytest.raises(NotInvertible):
         induced_system(f, quad02)
 
 
 def test_induced_rejects_unanchored(quad02):
-    f = make_monotone([-1, 0, 1], [-1, 0.1, 1])
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.1, 1])
     with pytest.raises(AnchorsNotFixed):
         induced_system(f, quad02)

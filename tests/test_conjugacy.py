@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import exact_orbit, iterate_contraction
+from conftest import exact_orbit, iterate_contraction, sup_gap
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
@@ -12,6 +12,7 @@ from pconfig import (
     BranchInverse,
     BranchNotInvertible,
     MapPair,
+    MonotoneFunction,
     build_family,
     build_orbit_grid,
     compose,
@@ -21,12 +22,10 @@ from pconfig import (
     evaluate,
     identity,
     invert,
-    make_monotone,
     orbit_points,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
-    sup_distance,
 )
 from pconfig.conjugacy import (
     _BISECT_BLOCK,
@@ -56,7 +55,7 @@ QUARTIC = {"family": "polynomial", "delta1": [0.7, 0.5, -0.4, 0, 0.2]}
 def test_step_fixes_identity_for_standard():
     g = identity(257)
     out = contraction_step(g, standard_pair())
-    assert sup_distance(out, g) <= 1e-12
+    assert sup_gap(out, g) <= 1e-12
 
 
 def test_step_example_value_quadratic():
@@ -69,10 +68,10 @@ def test_step_example_value_quadratic():
 
 
 def test_step_requires_anchors():
-    g = make_monotone([-1, 0, 1], [-1, 0.1, 1])
+    g = MonotoneFunction([-1, 0, 1], [-1, 0.1, 1])
     with pytest.raises(AnchorsNotFixed):
         contraction_step(g, standard_pair())
-    shifted = make_monotone([-1, 0.5, 1], [-1, 0.0, 1])  # 0 not a node
+    shifted = MonotoneFunction([-1, 0.5, 1], [-1, 0.0, 1])  # 0 not a node
     with pytest.raises(AnchorsNotFixed):
         contraction_step(shifted, standard_pair())
 
@@ -87,7 +86,7 @@ def test_step_preserves_monotonicity_and_anchors():
         (cum[i0 + 1:] - cum[i0]) / (cum[-1] - cum[i0]),
     ])
     vals[0], vals[i0], vals[-1] = -1.0, 0.0, 1.0
-    g = make_monotone(nodes, np.clip(vals, -1.0, 1.0))
+    g = MonotoneFunction(nodes, np.clip(vals, -1.0, 1.0))
     out = contraction_step(g, quadratic_pair(0.2))
     assert np.all(np.diff(out.values) >= 0)
     assert out.fixes_anchors()
@@ -104,16 +103,15 @@ def cone_functions(draw):
     pos = (cum[33:] - cum[32]) / (cum[64] - cum[32])
     vals = np.concatenate([neg, pos])
     vals[0], vals[32], vals[-1] = -1.0, 0.0, 1.0
-    return make_monotone(nodes, np.maximum.accumulate(np.clip(vals, -1, 1)))
+    return MonotoneFunction(nodes, np.maximum.accumulate(np.clip(vals, -1, 1)))
 
 
 @settings(max_examples=25, deadline=None)
 @given(cone_functions(), cone_functions())
 def test_step_contracts_by_half(g1, g2):
     pair = quadratic_pair(0.2)
-    d_before = sup_distance(g1, g2)
-    d_after = sup_distance(contraction_step(g1, pair),
-                           contraction_step(g2, pair))
+    d_before = sup_gap(g1, g2)
+    d_after = sup_gap(contraction_step(g1, pair), contraction_step(g2, pair))
     assert d_after <= 0.5 * d_before + 1e-12
 
 
@@ -260,7 +258,7 @@ def test_walk_treats_a_negative_zero_value_as_not_below():
 
 def test_standard_conjugates_to_identity():
     h, log = conjugate_to_standard(standard_pair(), grid=4097)
-    assert sup_distance(h, identity(nodes=h.nodes)) <= 1e-12
+    assert np.max(np.abs(h.values - h.nodes)) <= 1e-12
     assert h.fixes_anchors()
 
 
@@ -359,10 +357,10 @@ def test_collided_words_keep_one_label_each():
 def test_uniqueness_across_initial_guesses(quad02):
     nodes = build_orbit_grid(quad02, 9)   # the solver's grid for 1025
     h_id, d_id, _ = iterate_contraction(quad02, nodes)
-    kinked = make_monotone([-1, 0, 0.5, 1], [-1, 0, 0.25, 1])
+    kinked = MonotoneFunction([-1, 0, 0.5, 1], [-1, 0, 0.25, 1])
     h_k, d_k, _ = iterate_contraction(quad02, nodes, start=kinked)
     assert len(d_id) >= 2 and len(d_k) >= 2
-    assert sup_distance(h_id, h_k) <= 2 * TOL
+    assert sup_gap(h_id, h_k) <= 2 * TOL
 
 
 def test_solver_rejects_bad_grid(quad02):
@@ -410,14 +408,14 @@ def test_flat_pair_log_reports_homeomorphism_check(pf2):
 
 def test_conjugate_pair_with_itself_is_identity(quad02):
     h = conjugate(quad02, quad02, grid=1025)
-    assert sup_distance(h, identity(nodes=h.nodes)) <= 2 * TOL
+    assert np.max(np.abs(h.values - h.nodes)) <= 2 * TOL
 
 
 def test_conjugate_inverts_direction(quad02, std):
     h_fwd = conjugate(quad02, std, grid=4097)
     h_rev = conjugate(std, quad02, grid=4097)
     rt = compose(h_rev, h_fwd)
-    assert sup_distance(rt, identity(nodes=rt.nodes)) <= 1e-6
+    assert np.max(np.abs(rt.values - rt.nodes)) <= 1e-6
     assert evaluate(h_rev, 0.5) == pytest.approx(0.7, abs=1e-9)
 
 

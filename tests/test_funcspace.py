@@ -1,5 +1,5 @@
 """Monotone function calculus: construction, evaluation, inversion,
-composition, the sup metric, and CSV round-trips."""
+composition, and CSV round-trips."""
 
 from types import SimpleNamespace
 
@@ -9,6 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from pconfig import (
     BadDomain,
+    MonotoneFunction,
     NonMonotoneInput,
     NotInvertible,
     OutOfDomain,
@@ -17,8 +18,6 @@ from pconfig import (
     from_csv,
     identity,
     invert,
-    make_monotone,
-    sup_distance,
     to_csv,
 )
 from pconfig import funcspace
@@ -55,7 +54,7 @@ def monotone_functions(draw, strictly=False, min_nodes=2, max_nodes=12):
     if vals[-1] > 1.0:  # renormalize into [-1, 1]
         vals = lo + (vals - lo) * (1.0 - lo) / (vals[-1] - lo)
     try:
-        return make_monotone(nodes, np.clip(vals, -1.0, 1.0))
+        return MonotoneFunction(nodes, np.clip(vals, -1.0, 1.0))
     except BadDomain:  # a node gap too narrow for a finite slope
         reject()
 
@@ -69,7 +68,7 @@ def invertible_functions(draw):
     vals = -1.0 + 2.0 * (v - v[0]) / (v[-1] - v[0])
     vals[-1] = 1.0
     try:
-        return make_monotone(f.nodes, vals)
+        return MonotoneFunction(f.nodes, vals)
     except BadDomain:  # the stretch made a slope overflow
         reject()
 
@@ -79,44 +78,68 @@ def invertible_functions(draw):
 # ---------------------------------------------------------------------------
 
 
-def test_make_monotone_identity_case():
-    f = make_monotone([-1, 0, 1], [-1, 0, 1])
+def test_constructor_identity_case():
+    f = MonotoneFunction([-1, 0, 1], [-1, 0, 1])
     assert f.grid_size == 3
     assert f.fixes_anchors()
 
 
-def test_make_monotone_valid_piecewise():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
+def test_constructor_valid_piecewise():
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     assert f.is_strictly_increasing()
 
 
-def test_make_monotone_rejects_decrease():
+def test_constructor_rejects_decrease():
     with pytest.raises(NonMonotoneInput):
-        make_monotone([-1, 0, 1], [-1, 0.5, 0.2])
+        MonotoneFunction([-1, 0, 1], [-1, 0.5, 0.2])
 
 
-def test_make_monotone_rejects_bad_span():
+def test_constructor_rejects_bad_span():
     with pytest.raises(BadDomain):
-        make_monotone([-1, 0, 0.5], [-1, 0, 0.5])
+        MonotoneFunction([-1, 0, 0.5], [-1, 0, 0.5])
     with pytest.raises(BadDomain):
-        make_monotone([-1, 0.5, 0.2, 1], [-1, 0, 0, 1])
+        MonotoneFunction([-1, 0.5, 0.2, 1], [-1, 0, 0, 1])
     with pytest.raises(BadDomain):
-        make_monotone([-1], [-1])
+        MonotoneFunction([-1], [-1])
     # a subnormal node gap: the slope 0.992 / 2.2e-311 overflows, and
     # interpolation inside the gap would leave [-1, 1]
     with pytest.raises(BadDomain):
-        make_monotone([-1, 0, 2.2e-311, 1], [-1, 3.96e-3, 0.996, 1])
+        MonotoneFunction([-1, 0, 2.2e-311, 1], [-1, 3.96e-3, 0.996, 1])
 
 
 def test_values_outside_interval_rejected():
     with pytest.raises(NonMonotoneInput):
-        make_monotone([-1, 0, 1], [-1, 0, 1.5])
+        MonotoneFunction([-1, 0, 1], [-1, 0, 1.5])
 
 
 def test_arrays_are_immutable():
-    f = make_monotone([-1, 0, 1], [-1, 0, 1])
+    f = MonotoneFunction([-1, 0, 1], [-1, 0, 1])
     with pytest.raises(ValueError):
         f.nodes[0] = 0.0
+
+
+def test_constructor_owns_its_samples():
+    # writeable input is copied: the caller's arrays stay writeable, and
+    # writing them, or the base of a view passed in, leaves f as built
+    base = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    nodes = base.copy()
+    f = MonotoneFunction(base[:], nodes)
+    g = identity(nodes=nodes)
+    assert nodes.flags.writeable and base.flags.writeable
+    nodes[2] = 0.9
+    base[2] = 0.9
+    for h in (f, g):
+        assert h.nodes.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert h.values.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_constructor_takes_read_only_samples_as_they_are():
+    # what no caller can write needs no copy: compose and invert build on
+    # other functions' samples
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
+    g = invert(f)
+    assert g.nodes is f.values and g.values is f.nodes
+    assert compose(g, f).nodes is f.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +153,12 @@ def test_eval_identity():
 
 def test_eval_midpoint_of_segment():
     # midpoint of the linear segment (0, 0.5)-(1, 1)
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     assert evaluate(f, 0.5) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_eval_exact_at_nodes():
-    f = make_monotone([-1, -0.25, 0.5, 1], [-1, -0.5, 0.25, 1])
+    f = MonotoneFunction([-1, -0.25, 0.5, 1], [-1, -0.5, 0.25, 1])
     for t, v in zip(f.nodes, f.values):
         assert evaluate(f, t) == v
 
@@ -161,7 +184,7 @@ def test_eval_vectorized():
 #: Two nodes one float apart whose values are 0.67 apart: no abscissa
 #: between them exists, so the round trip through the inverse lands on
 #: one end and misses y = 0 by about 0.3.
-_ONE_ULP_JUMP = make_monotone([-1.0, -0.99, np.nextafter(-0.99, 1.0), 1.0],
+_ONE_ULP_JUMP = MonotoneFunction([-1.0, -0.99, np.nextafter(-0.99, 1.0), 1.0],
                               [-1.0, -0.3, 0.37, 1.0])
 
 
@@ -185,7 +208,7 @@ def test_eval_round_trip_on_range(f, alpha):
 
 
 def test_compose_with_identity_both_sides():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     left = compose(identity(4097), f)
     assert np.array_equal(left.values, f.values)
     right = compose(f, identity(nodes=f.nodes))
@@ -193,12 +216,12 @@ def test_compose_with_identity_both_sides():
 
 
 def test_compose_round_trip_within_node_gap():
-    f = make_monotone(np.linspace(-1, 1, 33),
+    f = MonotoneFunction(np.linspace(-1, 1, 33),
                       np.sin(np.linspace(-1, 1, 33) * np.pi / 2))
     g = invert(f)
     rt = compose(f, g)
     # the inverse swaps nodes and values, so the round trip is exact
-    assert sup_distance(rt, identity(nodes=rt.nodes)) == 0.0
+    assert np.array_equal(rt.values, rt.nodes)
 
 
 @settings(max_examples=50, deadline=None)
@@ -210,11 +233,12 @@ def test_compose_preserves_monotonicity(outer, inner):
 
 def test_invert_identity():
     g = invert(identity(33))
-    assert sup_distance(g, identity(33)) == 0.0
+    assert np.array_equal(g.nodes, identity(33).nodes)
+    assert np.array_equal(g.values, g.nodes)
 
 
 def test_invert_node_swap():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
+    f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     g = invert(f)
     assert evaluate(g, 0.5) == 0.0
     assert np.array_equal(g.nodes, f.values)
@@ -222,50 +246,15 @@ def test_invert_node_swap():
 
 
 def test_invert_rejects_plateau():
-    f = make_monotone([-1, 0.2, 0.4, 1], [-1, 0.0, 0.0, 1])
+    f = MonotoneFunction([-1, 0.2, 0.4, 1], [-1, 0.0, 0.0, 1])
     with pytest.raises(NotInvertible):
         invert(f)
 
 
 def test_invert_rejects_partial_range():
-    f = make_monotone([-1, 0, 1], [-0.5, 0, 0.5])
+    f = MonotoneFunction([-1, 0, 1], [-0.5, 0, 0.5])
     with pytest.raises(NotInvertible):
         invert(f)
-
-
-# ---------------------------------------------------------------------------
-# sup distance is a metric
-# ---------------------------------------------------------------------------
-
-
-def test_sup_distance_to_self_is_zero():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
-    assert sup_distance(f, f) == 0.0
-
-
-def test_sup_distance_attained_at_middle_node():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
-    assert sup_distance(identity(3), f) == 0.5
-
-
-@settings(max_examples=50, deadline=None)
-@given(monotone_functions(), monotone_functions())
-def test_sup_distance_symmetric(f, g):
-    assert sup_distance(f, g) == sup_distance(g, f)
-
-
-@settings(max_examples=50, deadline=None)
-@given(monotone_functions(), monotone_functions(), monotone_functions())
-def test_sup_distance_triangle(f, g, h):
-    assert sup_distance(f, h) <= sup_distance(f, g) + sup_distance(g, h) + 1e-12
-
-
-def test_sup_distance_zero_iff_same_interpolant():
-    f = make_monotone([-1, 0, 1], [-1, 0.5, 1])
-    refined = make_monotone([-1, -0.5, 0, 0.5, 1], [-1, -0.25, 0.5, 0.75, 1])
-    assert sup_distance(f, refined) == 0.0
-    bumped = make_monotone([-1, -0.5, 0, 0.5, 1], [-1, -0.2, 0.5, 0.75, 1])
-    assert sup_distance(f, bumped) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,7 @@ def test_sup_distance_zero_iff_same_interpolant():
 
 
 def test_csv_round_trip_exact():
-    f = make_monotone(np.linspace(-1, 1, 9),
+    f = MonotoneFunction(np.linspace(-1, 1, 9),
                       np.tanh(np.linspace(-1, 1, 9)))
     g = from_csv(to_csv(f))
     assert np.array_equal(f.nodes, g.nodes)
@@ -333,7 +322,7 @@ def _to_csv_row_by_row(f):
 def _random_function(rows, seed=0):
     rng = np.random.default_rng(seed)
     inner = np.sort(rng.uniform(-1.0, 1.0, rows - 2))
-    return make_monotone(np.concatenate(([-1.0], inner, [1.0])),
+    return MonotoneFunction(np.concatenate(([-1.0], inner, [1.0])),
                          np.concatenate(([-1.0], np.sort(inner ** 3), [1.0])))
 
 
