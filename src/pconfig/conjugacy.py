@@ -171,6 +171,12 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     if not g.fixes_anchors():
         raise AnchorsNotFixed("iterate must fix -1, 0 and 1 exactly at nodes")
     check_branches_invertible(pair)
+    return _step(g, pair)
+
+
+def _step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
+    """:func:`contraction_step` without its checks, for a `g` that fixes
+    the anchors and a `pair` whose branches are invertible."""
     fz = BranchInverse(pair).pull_back(g.nodes)
     left = g.nodes <= 0.0
     fz[left] = np.maximum.accumulate(fz[left])
@@ -307,10 +313,11 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     # stays, in the source solves of `conjugate` and `solve_nonlinear` too,
     # because perfbench pins it: test_spans.py asserts 100 evaluations per
     # node and DeepSolve.required names the conjugacy.pullback and
-    # conjugacy.solve spans (ROADMAP items 6 and 7)
+    # conjugacy.solve spans (ROADMAP items 6 and 7).  `_labelled_h` has
+    # checked the branches and h fixes the anchors, so T is applied
+    # without contraction_step's checks
     log = ConvergenceLog(
-        residual=float(np.max(np.abs(
-            contraction_step(h, pair).values - h.values))),
+        residual=float(np.max(np.abs(_step(h, pair).values - h.values))),
         grid=int(h.grid_size),
         max_local_variation=h.max_local_variation,
         strictly_increasing=h.is_strictly_increasing(),

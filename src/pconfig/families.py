@@ -181,22 +181,6 @@ _PHI_HALFWIDTH = 0.125         # w
 _PSI_PLATEAU = 0.5             # p
 
 
-def _ramp(x):
-    """The C^1 smoothstep x^2 (3 - 2x), held at 0 below 0 and at 1 above 1,
-    with its integral from 0."""
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * (3.0 - 2.0 * x), x ** 3 - 0.5 * x ** 4
-
-
-def _bump(u, a, b, r):
-    """The C^1 bump on [a, b] that rises to 1 over ramps of width r at both
-    ends, with its integral from 0 (for 0 <= a)."""
-    rise, rise_int = _ramp((u - a) / r)
-    fall, fall_int = _ramp((b - u) / r)
-    plateau = np.clip(u - (a + r), 0.0, b - a - 2.0 * r)
-    return np.minimum(rise, fall), r * rise_int + plateau + r * (0.5 - fall_int)
-
-
 def perturbed_flat_pair(n: int) -> MapPair:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise BadSpec(f"n must be an integer >= 1, got {n!r}")
@@ -213,24 +197,50 @@ def perturbed_flat_pair(n: int) -> MapPair:
     m = 4.0 * w / (1.0 + p)
     r = (1.0 - p) / 8.0          # psi ramp width in u units
 
+    # Each bump on [a, b] rises over [a, a + r], holds 1 on its plateau
+    # and falls over [b - r, b]; a ramp is the C^1 smoothstep
+    # x^2 (3 - 2x) of x clipped to [0, 1], with integral x^3 - x^4 / 2.
+    # The four ramps are one row each: phi rise, psi rise, phi fall, psi
+    # fall.  A rise row's argument is (u - a) / r and a fall row's
+    # (u - b) / -r; negation is exact, so that is (b - u) / r except for
+    # the sign of a zero at u = b, which neither the clip nor the ramp
+    # passes on.  The rows' integrals from 0 combine as
+    # r * rise + plateau + r * (0.5 - fall) for phi and for psi.
+    starts = np.array([[0.5 - w], [0.0]])
+    ends = np.array([[0.5 + w], [0.25]])
+    widths = np.array([[w], [r]])
+    ramp_ends = np.concatenate((starts, ends))
+    ramp_slopes = np.concatenate((widths, -widths))
+    plateau_starts = starts + widths
+    plateau_lengths = ends - starts - 2.0 * widths
+
     def on_cell(t, integral):
         # delta1 if `integral`, else delta1': affine off the half-open J_n,
-        # which keeps the right edge exactly on (t+1)/2; the bumps are
-        # evaluated only inside, and not at all when no point is: on no
-        # points they still make some fifty numpy calls, and the bisection
-        # calls this once per step and block
+        # which keeps the right edge exactly on (t+1)/2.  Inside, the four
+        # ramp arguments are one (4, k) array; delta1 evaluates only their
+        # integrals and the plateaus, delta1' only their values.  The
+        # bisection calls this once per step and block, so a call with no
+        # point inside returns before any ramp is built
         t = np.asarray(t, dtype=float)
         out = np.asarray((t + 1.0) / 2.0 if integral else np.full(t.shape, 0.5))
         inside = (t >= left) & (t < right)
         if not inside.any():
             return out
         u = (t[inside] - left) / width
-        phi, phi_int = _bump(u, 0.5 - w, 0.5 + w, w)
-        psi, psi_int = _bump(u, 0.0, 0.25, r)
+        x = (u - ramp_ends) / ramp_slopes
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
         if integral:
+            ramp_int = x ** 3 - 0.5 * x ** 4
+            plateau = np.minimum(np.maximum(u - plateau_starts, 0.0),
+                                 plateau_lengths)
+            phi_int, psi_int = (widths * ramp_int[:2] + plateau
+                                + widths * (0.5 - ramp_int[2:]))
             g_int = u / 2 - phi_int / 2 + m * psi_int
             out[inside] = (left + 1.0) / 2.0 + width * g_int
         else:
+            ramp = x * x * (3.0 - 2.0 * x)
+            phi, psi = np.minimum(ramp[:2], ramp[2:])
             out[inside] = 0.5 - phi / 2 + m * psi
         return out
 

@@ -1,7 +1,8 @@
 """Shared fixtures: built-in pairs and cached solver runs, the sup
 distance of two functions on shared nodes, the contraction iteration on a
-given grid, and the 120-bit orbit the library's float orbit is checked
-against.
+given grid, the 120-bit orbit the library's float orbit is checked
+against, and the flat family's maps one ramp at a time, which the
+library's evaluator is checked against bit for bit.
 
 The expensive conjugation solves are session-scoped so the whole suite
 pays for each grid size once.
@@ -15,6 +16,7 @@ from pconfig import (
     MonotoneFunction,
     conjugate_to_standard,
     contraction_step,
+    flat_interval,
     identity,
     perturbed_flat_pair,
     quadratic_pair,
@@ -107,6 +109,61 @@ def exact_orbit(pair, depth):
             x = [delta2(t) for t in x] + [delta1(t) for t in x[1:]]
     with mpmath.workprec(53):
         return np.array([float(+t) for t in x])
+
+
+def flat_reference(n):
+    """delta1, delta2, delta1' and delta2' of ``perturbed_flat(n)``, its
+    two bumps evaluated one ramp at a time.
+
+    On J_n, with u = (t - left) / width, delta1' is
+    1/2 - phi(u)/2 + m psi(u) and delta1 its integral from the left
+    edge.  Each bump rises over a ramp of width r, holds a plateau and
+    falls over a second ramp; a ramp is the smoothstep x^2 (3 - 2x) of
+    x clipped to [0, 1], with integral x^3 - x^4/2.  phi runs over
+    [3/8, 5/8] with r = 1/8, psi over [0, 1/4] with r = 1/16, and
+    m = 1/3.  Off the half-open J_n the maps are the standard ones.
+    """
+    left, right = flat_interval(n)
+    width = right - left
+    w, p = 0.125, 0.5
+    m = 4.0 * w / (1.0 + p)
+    r = (1.0 - p) / 8.0
+
+    def ramp(x):
+        x = np.clip(x, 0.0, 1.0)
+        return x * x * (3.0 - 2.0 * x), x ** 3 - 0.5 * x ** 4
+
+    def bump(u, a, b, r):
+        rise, rise_int = ramp((u - a) / r)
+        fall, fall_int = ramp((b - u) / r)
+        plateau = np.clip(u - (a + r), 0.0, b - a - 2.0 * r)
+        return (np.minimum(rise, fall),
+                r * rise_int + plateau + r * (0.5 - fall_int))
+
+    def on_cell(t, integral):
+        t = np.asarray(t, dtype=float)
+        out = np.asarray((t + 1.0) / 2.0 if integral else np.full(t.shape, 0.5))
+        inside = (t >= left) & (t < right)
+        if not inside.any():
+            return out
+        u = (t[inside] - left) / width
+        phi, phi_int = bump(u, 0.5 - w, 0.5 + w, w)
+        psi, psi_int = bump(u, 0.0, 0.25, r)
+        if integral:
+            g_int = u / 2 - phi_int / 2 + m * psi_int
+            out[inside] = (left + 1.0) / 2.0 + width * g_int
+        else:
+            out[inside] = 0.5 - phi / 2 + m * psi
+        return out
+
+    def d1(t):
+        return on_cell(t, integral=True)
+
+    def d1p(t):
+        return on_cell(t, integral=False)
+
+    return (d1, lambda t: np.asarray(t, dtype=float) - d1(t),
+            d1p, lambda t: 1.0 - d1p(t))
 
 
 @pytest.fixture(scope="session")

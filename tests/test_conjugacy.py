@@ -501,11 +501,35 @@ def test_retarget_pulls_back_nothing(source, target, grid, monkeypatch):
     assert h.values.tobytes() == reference.values.tobytes()
 
 
-def test_solver_names_a_decreasing_branch():
+def test_solver_names_a_decreasing_branch(monkeypatch):
     # checked before the orbit grid, whose nodes would leave [-1, 1]
+    from pconfig import conjugacy
+    walked = []
+    monkeypatch.setattr(conjugacy, "_labelled_orbit",
+                        lambda pair, depth: walked.append(pair))
     with pytest.raises(BranchNotInvertible,
-                       match="delta1 is decreasing somewhere"):
+                       match="delta1 is decreasing somewhere") as raised:
         conjugate_to_standard(quadratic_pair(0.3))
+    assert str(raised.value) == "delta1 is decreasing somewhere"
+    assert walked == []
+
+
+def test_solver_checks_the_branches_once(monkeypatch):
+    # `_labelled_h` checks them, and the residual's step of T does not
+    # check them again
+    from pconfig import conjugacy
+    check = conjugacy.check_branches_invertible
+    checked = []
+
+    def spy(pair):
+        checked.append(pair)
+        return check(pair)
+
+    monkeypatch.setattr(conjugacy, "check_branches_invertible", spy)
+    for pair in (quadratic_pair(0.2), perturbed_flat_pair(2)):
+        checked.clear()
+        conjugate_to_standard(pair, grid=4097)
+        assert checked == [pair]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import flat_reference
 
 from pconfig import (
     BadSpec,
@@ -95,6 +96,41 @@ def test_scalar_and_array_evaluation_agree(pair):
         scalars = [f(float(x)) for x in points]
         assert all(np.shape(v) == () for v in scalars)
         assert np.array_equal(np.array([float(v) for v in scalars]), array)
+
+
+#: Where the ramps of the flat family's two bumps join and end, in the
+#: cell coordinate u: psi's ramps and plateau, then phi's.
+RAMP_JOINS = np.array([0.0, 1 / 16, 3 / 16, 1 / 4, 3 / 8, 1 / 2, 5 / 8])
+
+
+def _neighbours(t):
+    """`t` with the floats one ulp either side of each point."""
+    return np.concatenate((np.nextafter(t, -2.0), t, np.nextafter(t, 2.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 51])
+def test_perturbed_flat_is_its_reference_bit_for_bit(n):
+    # the evaluator takes all four ramps as one array; every float it
+    # returns is the one that the bumps taken ramp by ramp return, down
+    # to the sign of zero
+    pair = perturbed_flat_pair(n)
+    lo, hi = flat_interval(n)
+    joins = lo + RAMP_JOINS * (hi - lo)
+    if n <= 6:
+        assert np.array_equal((joins - lo) / (hi - lo), RAMP_JOINS)
+    points = np.concatenate((
+        _neighbours(joins), _neighbours(np.array([lo, hi])), [0.0, -0.0],
+        np.linspace(-1.0, 1.0, 20001), np.linspace(lo, hi, 4097)))
+    names = ("delta1", "delta2", "d_delta1", "d_delta2")
+    for name, reference in zip(names, flat_reference(n)):
+        f = getattr(pair, name)
+        got, want = f(points), reference(points)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+        for x in (-1.0, 0.0, -0.0, lo, joins[3], pair.flat_points[0], hi, 1.0):
+            got, want = f(x), reference(x)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (name, x)
 
 
 def test_perturbed_flat_derivative_strictly_below_one():
