@@ -53,6 +53,8 @@ which is not h: for quadratic(0.2) it lies 4.9e-10 off the labels at
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +74,16 @@ from .report import Report
 #: times, whatever the block size below.
 _BISECT_STEPS = 100
 
-#: Targets walked together: a block's walk and gap arrays (64 kB each) and
-#: the branch's temporaries stay in cache through all the steps, where one
-#: sweep of a 2^19-target branch per step streams megabytes through memory.
-#: Smaller blocks call `fun` more often, which costs the branches with a
-#: large per-call overhead: 4096 is slower than 8192, and 16384 no faster,
-#: on quadratic(0.2) at 2^20+1 and perturbed_flat(2) at 2^16+1 nodes.
-_BISECT_BLOCK = 8192
+#: Targets walked together: a block's walk and gap arrays (256 kB each) and
+#: the branch's temporaries stay in a core's cache through all the steps,
+#: where one sweep of a 2^19-target branch per step streams megabytes
+#: through memory.  numpy drops the interpreter lock only inside each
+#: ufunc, so the blocks that the CPUs walk at once must be large enough
+#: for their ufuncs to outlast the switching: for the pull-back of
+#: quadratic(0.2) at 2^20+1 nodes, two threads took 0.60-0.69 s with
+#: blocks of 8192 and one thread 0.59 s, while with 32768 two took
+#: 0.43-0.45 s and one 0.62-0.66 s (2-core Xeon VM).
+_BISECT_BLOCK = 32768
 
 
 def _bisect_increasing(fun, targets: np.ndarray) -> np.ndarray:
@@ -104,22 +109,54 @@ def _bisect_increasing(fun, targets: np.ndarray) -> np.ndarray:
     ``gap += 0.0`` turns the -0.0 of -0.0 - (+0.0) into +0.0, so
     fun(mid) == target steps down, as "not below" does.
 
-    `fun` must act elementwise: the targets are solved in blocks of
-    ``_BISECT_BLOCK``, each through all the steps while its arrays stay in
-    cache, and each target's walk depends only on its own values, so the
-    result does not depend on the block size.
+    `fun` must act elementwise and be pure: the targets are solved in
+    blocks of ``_BISECT_BLOCK``, each through all the steps while its
+    arrays stay in cache, and with more than one block and more than one
+    CPU the blocks are dealt round-robin to the calling thread and one
+    worker thread per further CPU, which call `fun` at the same time.
+    Each target's walk depends only on its own values, so the result, and
+    the ``_BISECT_STEPS`` evaluations of every target, do not depend on
+    the block size or the thread count.  The workers end before this
+    returns; an exception raised in one is raised here.
     """
     t = np.asarray(targets, dtype=float)
     out = np.empty_like(t)
-    for start in range(0, t.size, _BISECT_BLOCK):
-        block = t[start:start + _BISECT_BLOCK]
-        mid = np.zeros_like(block)
-        gap = np.empty_like(block)
-        for i in range(1, _BISECT_STEPS + 1):
-            np.subtract(fun(mid), block, out=gap)
-            gap += 0.0
-            mid -= np.copysign(math.ldexp(1.0, -i), gap, out=gap)
-        out[start:start + _BISECT_BLOCK] = mid
+    starts = range(0, t.size, _BISECT_BLOCK)
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = max(1, min(len(starts),
+                      len(affinity(0)) if affinity else os.cpu_count() or 1))
+
+    def walk(thread):
+        for start in starts[thread::cpus]:
+            block = t[start:start + _BISECT_BLOCK]
+            mid = np.zeros_like(block)
+            gap = np.empty_like(block)
+            for i in range(1, _BISECT_STEPS + 1):
+                np.subtract(fun(mid), block, out=gap)
+                gap += 0.0
+                mid -= np.copysign(math.ldexp(1.0, -i), gap, out=gap)
+            out[start:start + _BISECT_BLOCK] = mid
+
+    errors = []
+
+    def work(thread):
+        try:
+            walk(thread)
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    workers = []
+    try:
+        for thread in range(1, cpus):
+            worker = threading.Thread(target=work, args=(thread,))
+            worker.start()
+            workers.append(worker)
+        walk(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return out
 
 

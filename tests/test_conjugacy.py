@@ -1,6 +1,9 @@
 """Contraction operator, conjugation solver, orbit grids and orbit points."""
 
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +182,90 @@ def test_blocked_bisection_is_the_unblocked_one(pair, branch):
     for size in (0, 1, _BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
                  3 * _BISECT_BLOCK + 5):
         _assert_walk_is_bisection(fun, fun(np.linspace(-1.0, 1.0, size)))
+
+
+@pytest.fixture(params=[("sched_getaffinity", 1), ("sched_getaffinity", 2),
+                        ("sched_getaffinity", 3), ("cpu_count", 3)],
+                ids=["affinity-1", "affinity-2", "affinity-3", "cpu_count-3"])
+def cpus(request, monkeypatch):
+    """The CPU count the walk reads, forced: from the affinity mask, or
+    from ``os.cpu_count`` where the platform has no affinity call.  The
+    threads switch every microsecond, so a lost update has its chance."""
+    source, count = request.param
+    if source == "cpu_count":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield count
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("pair, branch", [(quadratic_pair(0.2), "delta2"),
+                                          (perturbed_flat_pair(3), "delta1")],
+                         ids=["quadratic(0.2)-delta2",
+                              "perturbed_flat(3)-delta1"])
+def test_threaded_walk_is_the_unblocked_one(pair, branch, cpus):
+    branch = getattr(pair, branch)
+    callers = set()
+
+    def fun(x):
+        if np.size(x):
+            callers.add(threading.get_ident())
+        return branch(x)
+
+    for size in (0, 1, _BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
+                 3 * _BISECT_BLOCK + 5):
+        callers.clear()
+        _assert_walk_is_bisection(fun, branch(np.linspace(-1.0, 1.0, size)))
+        # the caller and one worker per further CPU that has a block
+        blocks = -(-size // _BISECT_BLOCK)
+        assert len(callers) == min(blocks, cpus)
+
+
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
+def test_threaded_walk_raises_and_leaves_no_thread(raiser, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    main = threading.get_ident()
+    claimed = {}
+
+    def fun(x):
+        me = threading.get_ident()
+        # the first thread of the raising kind to call claims the
+        # failure, so exactly one block fails whatever the order
+        if (me == main) == (raiser == "caller") and claimed.setdefault(
+                "raiser", me) == me:
+            raise ValueError(f"{raiser} block")
+        return quadratic_pair(0.2).delta1(x)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"^{raiser} block$"):
+        _bisect_increasing(fun, np.linspace(0.0, 1.0, 5 * _BISECT_BLOCK))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("pair", [quadratic_pair(0.2), perturbed_flat_pair(3)],
+                         ids=["quadratic(0.2)", "perturbed_flat(3)"])
+@pytest.mark.parametrize("cpu_count", [1, 2])
+def test_pull_back_on_a_large_grid_is_bisection_on_any_cpu_count(
+        pair, cpu_count, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpu_count)))
+    nodes = build_orbit_grid(pair, 16)
+    assert nodes.size == 2 ** 17 + 1
+    left = nodes <= 0.0
+    expected = np.empty_like(nodes)
+    expected[left] = _bisect_unblocked(pair.delta2, nodes[left])
+    expected[~left] = _bisect_unblocked(pair.delta1, nodes[~left])
+    expected[np.isin(nodes, (0.0, 1.0))] = 1.0
+    expected[nodes == -1.0] = -1.0
+    assert (BranchInverse(pair).pull_back(nodes).tobytes()
+            == expected.tobytes())
 
 
 def test_pull_back_of_no_points_is_empty():
