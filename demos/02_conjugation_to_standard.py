@@ -17,7 +17,6 @@ from pconfig import (
     contraction_step,
     conjugate_to_standard,
     evaluate,
-    identity,
     orbit_points,
     quadratic_pair,
     to_csv,
@@ -68,7 +67,7 @@ def iterate(g):
 
 print("contraction: T iterated from the identity on the same grid")
 print("-" * 46)
-g, distances = iterate(identity(nodes=h.nodes))
+g, distances = iterate(MonotoneFunction(h.nodes, h.nodes))
 ratios = [float("nan")] + [b / a for a, b in zip(distances, distances[1:])]
 for i, (d, r) in enumerate(zip(distances, ratios)):
     print(f"  iter {i + 1:2d}   sup-update {d:12.3e}   ratio {r:8.5f}")

@@ -354,7 +354,7 @@ def nonregular_experiment(n: int, k: int,
     pair_n = perturbed_flat_pair(n)
     pair_k = perturbed_flat_pair(k)
 
-    h = conjugate(pair_n, pair_k, grid=grid)
+    h, _ = conjugate(pair_n, pair_k, grid=grid)
 
     table = dyadic_fixed_point_check(h, pair_n, m_max=max(8, n + 1, k + 1))
     max_dev = max(table.deviations)

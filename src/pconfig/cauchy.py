@@ -148,7 +148,7 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
             degenerate=True,
         )
 
-    h = conjugate(pair, target, grid=grid)
+    h, _ = conjugate(pair, target, grid=grid)
     return SolutionCertificate(
         solution=h,
         fe_residual=fe_residual(h, pair, grid=grid),

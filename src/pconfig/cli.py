@@ -136,15 +136,14 @@ def cmd_validate(args) -> int:
 def cmd_conjugate(args) -> int:
     source = _load_family(args.config)
     target = _resolve_target(args.target)
-    h, log = conjugacy.conjugate_to_standard(source, grid=args.grid)
-    if target is not None:
-        h = conjugacy.retarget(h, target, grid=args.grid)
+    h, log = conjugacy.conjugate(source, target or families.standard_pair(),
+                                 grid=args.grid)
     _atomic_write(args.out / "h.csv", funcspace.to_csv(h))
     _atomic_write(args.out / "convergence.json", log.to_json() + "\n")
     _atomic_write(args.out / "h.gp", _gnuplot_script("h.csv", "conjugation h"))
     print(f"residual: {log.residual:.3e}  nodes: {log.grid}")
-    # the labels increase strictly by construction, so only a retargeted
-    # composition that rounds adjacent values together can fail here
+    # the labels increase strictly by construction, so only the composition
+    # for a non-standard target can round adjacent values together here
     return EXIT_OK if h.is_strictly_increasing() else EXIT_QUANTITATIVE
 
 

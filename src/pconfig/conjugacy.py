@@ -37,7 +37,7 @@ and the labels are sorted alongside the nodes, so h still fixes the
 anchors and increases strictly.
 
 The log's ``residual`` is sup |Th - h| for one :func:`contraction_step`,
-a diagnostic that nothing gates on, so :func:`retarget` reads the target's
+a diagnostic that nothing gates on, so :func:`conjugate` reads the target's
 h off its labelled orbit and computes no residual for it.  T's pull-back
 is solved by bisection, so on a complete grid the residual measures the
 bisection error of T, not an error of h.  Where nodes are lost it is
@@ -238,6 +238,8 @@ def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     [0, 1]; the two halves share the label 0.  The anchors stay pinned, so
     every word that reaches an anchor restarts from it exactly.
     """
+    if depth < 0:
+        raise ValueError(f"orbit depth must be >= 0, got {depth}")
     x = np.array(ANCHORS)
     for _ in range(depth):
         x = np.concatenate((pair.delta2(x), pair.delta1(x)[1:]))
@@ -345,14 +347,14 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         If a branch decreases or is flat on an interval.
     """
     h = _labelled_h(pair, grid)
-    # T's bisection pull-back is most of this solve's time (about 80 % for
-    # quadratic(0.2) at 2^20+1 nodes) and serves only the residual.  It
-    # stays, in the source solves of `conjugate` and `solve_nonlinear` too,
-    # because perfbench pins it: test_spans.py asserts 100 evaluations per
-    # node and DeepSolve.required names the conjugacy.pullback and
-    # conjugacy.solve spans (ROADMAP items 6 and 7).  `_labelled_h` has
-    # checked the branches and h fixes the anchors, so T is applied
-    # without contraction_step's checks
+    # T's bisection pull-back is most of this solve's time (0.43-0.50 s of
+    # 0.68-0.73 s for quadratic(0.2) at 2^20+1 nodes, 2-core Xeon VM) and
+    # serves only the residual.  It stays, in the source solve of
+    # `conjugate` too, because perfbench pins it: test_spans.py asserts 100
+    # evaluations per node and DeepSolve.required names the
+    # conjugacy.pullback and conjugacy.solve spans (ROADMAP items 6 and 7).
+    # `_labelled_h` has checked the branches and h fixes the anchors, so T
+    # is applied without contraction_step's checks
     log = ConvergenceLog(
         residual=float(np.max(np.abs(_step(h, pair).values - h.values))),
         grid=int(h.grid_size),
@@ -362,43 +364,29 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     return h, log
 
 
-def conjugate(source: MapPair, target: MapPair,
-              grid: int = DEFAULT_GRID) -> MonotoneFunction:
-    """Conjugation h of `source` to `target`: h(delta_i(t)) = tau_i(h(t)).
+def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
+              ) -> tuple[MonotoneFunction, ConvergenceLog]:
+    """Conjugation h of `source` to `target`, h(delta_i(t)) = tau_i(h(t)),
+    and the log of the one solve it runs, the source's.
 
-    Since conjugacy is an equivalence relation, h is obtained as
-    h_target^{-1} o h_source with both factors conjugations to the
-    standard pair; see :func:`retarget`.
+    Since conjugacy is an equivalence relation, h is h_target^{-1} o
+    h_source with both factors conjugations to the standard pair, h_source
+    solved by :func:`conjugate_to_standard`.  For the standard target h is
+    h_source itself.  For any other target, h_target is read off its
+    labelled orbit on the same `grid`, the values
+    :func:`conjugate_to_standard` returns, with no residual computed; its
+    inverse is the exact node/value swap, so the composition is node-exact
+    wherever h_source lands on a dyadic value.
 
     Raises
     ------
     BranchNotInvertible
         If a branch of either pair decreases or is flat on an interval.
     """
-    h_src, _ = conjugate_to_standard(source, grid=grid)
-    return retarget(h_src, target, grid=grid)
-
-
-def retarget(h_source: MonotoneFunction, target: MapPair,
-             grid: int) -> MonotoneFunction:
-    """Turn a conjugation of some pair to the standard pair into its
-    conjugation to `target`, h_target^{-1} o h_source.
-
-    For the standard target that is h_source itself.  For any other
-    target, h_target is read off its labelled orbit on the same `grid`,
-    the values :func:`conjugate_to_standard` returns, with no residual
-    computed; its inverse is the exact node/value swap, so the
-    composition is node-exact wherever h_source lands on a dyadic value.
-
-    Raises
-    ------
-    BranchNotInvertible
-        If a branch of `target` decreases or is flat on an interval.
-    """
-    if target.family == "standard":
-        return h_source
-    return funcspace.compose(funcspace.invert(_labelled_h(target, grid)),
-                             h_source)
+    h, log = conjugate_to_standard(source, grid=grid)
+    if target.family != "standard":
+        h = funcspace.compose(funcspace.invert(_labelled_h(target, grid)), h)
+    return h, log
 
 
 # --------------------------------------------------------------------------

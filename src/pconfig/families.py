@@ -108,7 +108,10 @@ def standard_pair() -> MapPair:
 def quadratic_pair(c: float) -> MapPair:
     if isinstance(c, bool):
         raise BadSpec(f"c must be a number, got {c!r}")
-    c = float(c)
+    try:
+        c = float(c)
+    except OverflowError:
+        raise BadSpec("c holds an integer too large for a float") from None
     if not np.isfinite(c):
         raise BadSpec(f"c must be finite, got {c!r}")
 
@@ -133,7 +136,11 @@ def quadratic_pair(c: float) -> MapPair:
 def _coefficients(name: str, coeffs) -> np.ndarray:
     """The polynomial coefficients `coeffs` of the branch `name` as floats,
     refused unless they form a nonempty flat list of finite numbers."""
-    a = np.asarray(coeffs, dtype=float)
+    try:
+        a = np.asarray(coeffs, dtype=float)
+    except OverflowError:
+        raise BadSpec(
+            f"{name} holds an integer too large for a float") from None
     if a.ndim != 1 or a.size == 0:
         raise BadSpec(f"{name} coefficients must be a nonempty flat list")
     if not np.all(np.isfinite(a)):
@@ -325,23 +332,6 @@ def build_family(spec) -> MapPair:
         return _FAMILIES[family](**params)
     except (BadSpec, TypeError, ValueError) as exc:
         raise BadSpec(f"{family}: {exc}") from exc
-    except OverflowError as exc:
-        keys = [k for k, v in params.items() if _exceeds_float(v)]
-        raise BadSpec(f"{family}: {', '.join(keys) or 'a parameter'} holds "
-                      "an integer too large for a float") from exc
-
-
-def _exceeds_float(value) -> bool:
-    """True if a descriptor value holds an integer that no float can
-    hold, such as a JSON integer of some 310 digits or more."""
-    if isinstance(value, list):
-        return any(map(_exceeds_float, value))
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            return True
-    return False
 
 
 def pairs_agree_on_grid(a: MapPair, b: MapPair) -> bool:

@@ -123,13 +123,9 @@ def _read_only(samples) -> np.ndarray:
     return arr
 
 
-def identity(n: int | None = None, nodes=None) -> MonotoneFunction:
-    """The identity function, sampled at `n` uniform nodes or on `nodes`;
-    one of the two must be given."""
-    if nodes is None:
-        if n is None:
-            raise TypeError("identity() needs n or nodes")
-        nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
+def identity(n: int) -> MonotoneFunction:
+    """The identity function, sampled at `n` uniform nodes."""
+    nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
     return MonotoneFunction(nodes, nodes)
 
 

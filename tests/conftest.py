@@ -17,7 +17,6 @@ from pconfig import (
     conjugate_to_standard,
     contraction_step,
     flat_interval,
-    identity,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
@@ -47,7 +46,7 @@ def iterate_contraction(pair, nodes, start=None):
     successive iterates and their successive ratios.
     """
     if start is None:
-        g = identity(nodes=nodes)
+        g = MonotoneFunction(nodes, nodes)
     else:
         g = MonotoneFunction(nodes, np.interp(nodes, start.nodes, start.values))
     distances = []

@@ -52,7 +52,7 @@ def test_criterion_02_anchor_pinning(std, quad02, quad_m02, pf2, quad02_solved):
     runs = [quad02_solved[0]]
     for pair in (std, quad_m02, pf2):
         runs.append(pc.conjugate_to_standard(pair, grid=4097)[0])
-    runs.append(pc.conjugate(quad02, quad_m02, grid=1025))
+    runs.append(pc.conjugate(quad02, quad_m02, grid=1025)[0])
     for h in runs:
         devs.extend(abs(pc.evaluate(h, a) - a) for a in (-1.0, 0.0, 1.0))
     ok = all(d == 0.0 for d in devs)
@@ -92,8 +92,8 @@ def test_criterion_05_nonlinearity(quad02_solved):
 
 
 def test_criterion_06_round_trip(quad02, quad_m02):
-    h_ab = pc.conjugate(quad02, quad_m02, grid=4097)
-    h_ba = pc.conjugate(quad_m02, quad02, grid=4097)
+    h_ab, _ = pc.conjugate(quad02, quad_m02, grid=4097)
+    h_ba, _ = pc.conjugate(quad_m02, quad02, grid=4097)
     rt = pc.compose(h_ab, h_ba)  # acts on the second system's coordinates
     # rt is sampled on h_ba's nodes, so its distance to the identity is
     # the largest |rt(t) - t| over them

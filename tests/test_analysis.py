@@ -345,7 +345,7 @@ def test_experiment_dyadic_points_exact(n, k, grid, rows):
     assert report.max_dyadic_deviation == 0.0
     assert report.verdict == "non-isomorphic"
     pair_n = perturbed_flat_pair(n)
-    h = conjugate(pair_n, perturbed_flat_pair(k), grid=grid)
+    h, _ = conjugate(pair_n, perturbed_flat_pair(k), grid=grid)
     table = dyadic_fixed_point_check(h, pair_n, m_max=12)
     assert max(table.deviations) == 0.0
 

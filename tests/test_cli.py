@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pconfig import analysis, families
+from pconfig import analysis, conjugacy, families
 from pconfig.cli import _build_parser, main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -112,10 +112,20 @@ def test_conjugate_byte_deterministic(quad_config, tmp_path):
         (b / "convergence.json").read_bytes()
 
 
-def test_conjugate_to_explicit_target(quad_config, tmp_path):
+def test_conjugate_to_explicit_target(quad_config, tmp_path, monkeypatch):
+    # one library call builds the map the command writes
+    conjugate = conjugacy.conjugate
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return conjugate(*args, **kwargs)
+
+    monkeypatch.setattr(conjugacy, "conjugate", spy)
     code = run(["conjugate", "--config", quad_config, "--grid", 1025,
                 "--target", "quadratic:-0.2", "--out", tmp_path])
     assert code == 0
+    assert len(calls) == 1
 
 
 def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):

@@ -36,7 +36,6 @@ from pconfig.conjugacy import (
     _bisect_increasing,
     _labelled_h,
     _labelled_orbit,
-    retarget,
 )
 
 TOL = 1e-10
@@ -65,7 +64,7 @@ def test_step_example_value_quadratic():
     # delta1(0) = 0.7, so the pulled-back point of 0.7 is 0 and the image
     # value is (g(0) + 1)/2 = 0.5 for g the identity
     nodes = np.union1d(np.linspace(-1, 1, 257), (0.7,))
-    g = identity(nodes=nodes)
+    g = MonotoneFunction(nodes, nodes)
     out = contraction_step(g, quadratic_pair(0.2))
     assert evaluate(out, 0.7) == pytest.approx(0.5, abs=1e-11)
 
@@ -494,20 +493,20 @@ def test_flat_pair_log_reports_homeomorphism_check(pf2):
 
 
 def test_conjugate_pair_with_itself_is_identity(quad02):
-    h = conjugate(quad02, quad02, grid=1025)
+    h, _ = conjugate(quad02, quad02, grid=1025)
     assert np.max(np.abs(h.values - h.nodes)) <= 2 * TOL
 
 
 def test_conjugate_inverts_direction(quad02, std):
-    h_fwd = conjugate(quad02, std, grid=4097)
-    h_rev = conjugate(std, quad02, grid=4097)
+    h_fwd, _ = conjugate(quad02, std, grid=4097)
+    h_rev, _ = conjugate(std, quad02, grid=4097)
     rt = compose(h_rev, h_fwd)
     assert np.max(np.abs(rt.values - rt.nodes)) <= 1e-6
     assert evaluate(h_rev, 0.5) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_conjugate_between_quadratics(quad02, quad_m02):
-    h = conjugate(quad02, quad_m02, grid=4097)
+    h, _ = conjugate(quad02, quad_m02, grid=4097)
     # h(delta1(0)) = tilde_delta1(h(0)) = tilde_delta1(0) = 0.3
     assert evaluate(h, 0.7) == pytest.approx(0.3, abs=1e-8)
 
@@ -524,7 +523,7 @@ def test_conjugate_to_standard_target_solves_once(quad02, std, monkeypatch):
         return solve(pair, grid)
 
     monkeypatch.setattr(conjugacy, "conjugate_to_standard", spy)
-    h = conjugate(quad02, std, grid=4097)
+    h, _ = conjugate(quad02, std, grid=4097)
     assert solves == [quad02]
     h_std, _ = solve(quad02, grid=4097)
     assert np.array_equal(h.nodes, h_std.nodes)
@@ -532,7 +531,7 @@ def test_conjugate_to_standard_target_solves_once(quad02, std, monkeypatch):
 
 
 def _retarget_by_solving(h_source, target, grid):
-    """The retargeting :func:`retarget` replaced: solve the target, its
+    """The retargeting :func:`conjugate` replaced: solve the target, its
     residual included, then invert and compose; the reference for its
     bits."""
     return compose(invert(conjugate_to_standard(target, grid=grid)[0]),
@@ -567,7 +566,8 @@ def test_conjugate_inverts_every_target(spec, grid):
     (quadratic_pair(0.2), quadratic_pair(-0.2)),
     (perturbed_flat_pair(2), perturbed_flat_pair(3)),
 ], ids=["quadratic", "perturbed_flat"])
-def test_retarget_pulls_back_nothing(source, target, grid, monkeypatch):
+def test_conjugate_pulls_back_only_the_source(source, target, grid,
+                                              monkeypatch):
     # only the source's solve bisects, for its log's residual
     pull_back = BranchInverse.pull_back
     calls = []
@@ -577,15 +577,19 @@ def test_retarget_pulls_back_nothing(source, target, grid, monkeypatch):
         return pull_back(self, z)
 
     monkeypatch.setattr(BranchInverse, "pull_back", spy)
-    h_src, _ = conjugate_to_standard(source, grid=grid)
-    calls.clear()
-    retarget(h_src, target, grid=grid)
-    assert calls == []
-    h = conjugate(source, target, grid=grid)
+    h, _ = conjugate(source, target, grid=grid)
     assert calls == [source]
+    h_src, _ = conjugate_to_standard(source, grid=grid)
     reference = _retarget_by_solving(h_src, target, grid)
     assert h.nodes.tobytes() == reference.nodes.tobytes()
     assert h.values.tobytes() == reference.values.tobytes()
+
+
+@pytest.mark.parametrize("target", [standard_pair(), quadratic_pair(-0.2)],
+                         ids=["standard", "quadratic(-0.2)"])
+def test_conjugate_logs_the_source_solve(quad02, target):
+    _, log = conjugate(quad02, target, grid=4097)
+    assert repr(log) == repr(conjugate_to_standard(quad02, grid=4097)[1])
 
 
 def test_solver_names_a_decreasing_branch(monkeypatch):
@@ -627,6 +631,14 @@ def test_solver_checks_the_branches_once(monkeypatch):
 def test_orbit_points_count(quad02):
     pts = orbit_points(quad02, max_len=4, bases=(-1.0, 1.0))
     assert len(pts) == 2 * (2 ** 5 - 1)
+
+
+def test_negative_orbit_depth_is_refused(quad02):
+    # depth -1 used to pair x = -1 with the label 0
+    with pytest.raises(ValueError, match="orbit depth"):
+        orbit_points(quad02, -1)
+    with pytest.raises(ValueError, match="orbit depth"):
+        build_orbit_grid(quad02, -1)
 
 
 @pytest.mark.parametrize("pair", [quadratic_pair(0.2), perturbed_flat_pair(2)],

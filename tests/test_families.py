@@ -413,3 +413,9 @@ def test_build_family_bad_spec_names_family_and_key(spec, key):
 def test_quadratic_rejects_non_finite_c(c):
     with pytest.raises(BadSpec, match="c must be finite"):
         quadratic_pair(c)
+
+
+def test_quadratic_refuses_an_integer_beyond_float():
+    # called directly, not only through build_family
+    with pytest.raises(BadSpec, match="c holds an integer too large"):
+        quadratic_pair(10 ** 400)

@@ -124,7 +124,7 @@ def test_constructor_owns_its_samples():
     base = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     nodes = base.copy()
     f = MonotoneFunction(base[:], nodes)
-    g = identity(nodes=nodes)
+    g = MonotoneFunction(nodes, nodes)
     assert nodes.flags.writeable and base.flags.writeable
     nodes[2] = 0.9
     base[2] = 0.9
@@ -211,7 +211,7 @@ def test_compose_with_identity_both_sides():
     f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     left = compose(identity(4097), f)
     assert np.array_equal(left.values, f.values)
-    right = compose(f, identity(nodes=f.nodes))
+    right = compose(f, MonotoneFunction(f.nodes, f.nodes))
     assert np.array_equal(right.values, f.values)
 
 
