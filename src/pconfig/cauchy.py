@@ -31,8 +31,9 @@ from . import funcspace
 # checks that its tracer wraps this import site (ROADMAP item 6)
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
 from .errors import AnchorsNotFixed, InvalidPair
-from .families import (MIN_GRID, MapPair, pairs_agree_on_grid, quadratic_pair,
-                       standard_pair, validate)
+from .families import (MIN_GRID, MapPair, _grid_with_anchors,
+                       pairs_agree_on_grid, quadratic_pair, standard_pair,
+                       validate)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -78,7 +79,7 @@ def fe_residual(f, pair: MapPair, grid: int = DEFAULT_GRID) -> float:
             return funcspace.evaluate(f, np.clip(x, -1.0, 1.0))
     else:
         ev = f
-    t = np.union1d(np.linspace(-1.0, 1.0, grid), (-1.0, 0.0, 1.0))
+    t = _grid_with_anchors(grid)
     res = np.abs(np.asarray(ev(t))
                  - np.asarray(ev(pair.delta1(t)))
                  - np.asarray(ev(pair.delta2(t))))

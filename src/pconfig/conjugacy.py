@@ -208,20 +208,27 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     if not g.fixes_anchors():
         raise AnchorsNotFixed("iterate must fix -1, 0 and 1 exactly at nodes")
     check_branches_invertible(pair)
-    return _step(g, pair)
-
-
-def _step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
-    """:func:`contraction_step` without its checks, for a `g` that fixes
-    the anchors and a `pair` whose branches are invertible."""
-    fz = BranchInverse(pair).pull_back(g.nodes)
-    left = g.nodes <= 0.0
-    fz[left] = np.maximum.accumulate(fz[left])
-    fz[~left] = np.maximum.accumulate(fz[~left])
-    chi = np.where(left, -1.0, 1.0)
-    values = np.maximum.accumulate(
-        0.5 * (np.interp(fz, g.nodes, g.values) + chi))
+    values = _step(g, pair)
+    values.setflags(write=False)
     return MonotoneFunction(g.nodes, values)
+
+
+def _step(g: MonotoneFunction, pair: MapPair) -> np.ndarray:
+    """The values of :func:`contraction_step` at g's nodes, without its
+    checks, for a `g` that fixes the anchors and a `pair` whose branches
+    are invertible."""
+    fz = BranchInverse(pair).pull_back(g.nodes)
+    # the nodes increase, so those on the left branch, <= 0, come first;
+    # in place, (g(fz) - 1) * 0.5 there and (g(fz) + 1) * 0.5 after are
+    # the floats of 0.5 * (g(fz) + chi) with chi = -1, +1
+    k = np.searchsorted(g.nodes, 0.0, side="right")
+    np.maximum.accumulate(fz[:k], out=fz[:k])
+    np.maximum.accumulate(fz[k:], out=fz[k:])
+    values = np.interp(fz, g.nodes, g.values)
+    values[:k] -= 1.0
+    values[k:] += 1.0
+    values *= 0.5
+    return np.maximum.accumulate(values, out=values)
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +263,21 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     standard pair maps these nodes onto the uniform dyadic grid of step
     2^-depth.
     """
-    return np.unique(_labelled_orbit(pair, depth))
+    x = _labelled_orbit(pair, depth)
+    x.sort(kind="stable")
+    nodes = x[_run_starts(x)]
+    # pinned as their labels are, so the zero node is +0.0 whichever word
+    # reaches it
+    nodes[np.searchsorted(nodes, ANCHORS)] = ANCHORS
+    return nodes
+
+
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """Where sorted `xs` holds a value it did not hold one entry before."""
+    first = np.empty(xs.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    return first
 
 
 def _solver_depth(grid: int) -> int:
@@ -271,16 +292,22 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
     Each node takes the smallest label of the words that land on it, an
     anchor its own label, and the labels are sorted alongside the nodes.
     """
-    # np.unique(..., return_index=True) would do, but this order of
-    # allocations keeps the peak memory of a 2^20+1 solve where it was
-    # before labels were read (8 MB less)
-    node_of_word = np.searchsorted(nodes, _labelled_orbit(pair, depth))
-    labels = np.full(nodes.size, np.inf)
-    np.minimum.at(labels, node_of_word,
-                  np.linspace(-1.0, 1.0, node_of_word.size))
-    del node_of_word
+    # the orbit is in label order but for a few collisions, so a stable
+    # sort is nearly a pass, and it keeps the words of a node in label
+    # order: the first of each run has the node's smallest label.  Word k's
+    # label k 2^-depth - 1 is exact, the float np.linspace(-1, 1, ·) holds.
+    # For quadratic(0.2) at 2^20+1 nodes this peaks 25 MiB above the nodes
+    # (the orbit, its order, its sorted copy and the run mask), below the
+    # 40 MiB that the residual's step of T adds to the solve (tracemalloc)
+    x = _labelled_orbit(pair, depth)
+    word = np.argsort(x, kind="stable")
+    first = _run_starts(x[word])
+    del x
+    labels = word[first] * 2.0 ** -depth
+    labels -= 1.0
     labels[np.searchsorted(nodes, ANCHORS)] = ANCHORS
-    return np.sort(labels)
+    labels.sort()
+    return labels
 
 
 def _labelled_h(pair: MapPair, grid: int) -> MonotoneFunction:
@@ -289,7 +316,11 @@ def _labelled_h(pair: MapPair, grid: int) -> MonotoneFunction:
     depth = _solver_depth(grid)
     check_branches_invertible(pair)
     nodes = build_orbit_grid(pair, depth)
-    return MonotoneFunction(nodes, _orbit_labels(pair, depth, nodes))
+    labels = _orbit_labels(pair, depth, nodes)
+    # the arrays are this solve's own, so h takes them without a copy
+    nodes.setflags(write=False)
+    labels.setflags(write=False)
+    return MonotoneFunction(nodes, labels)
 
 
 # --------------------------------------------------------------------------
@@ -347,16 +378,17 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         If a branch decreases or is flat on an interval.
     """
     h = _labelled_h(pair, grid)
-    # T's bisection pull-back is most of this solve's time (0.43-0.50 s of
-    # 0.68-0.73 s for quadratic(0.2) at 2^20+1 nodes, 2-core Xeon VM) and
-    # serves only the residual.  It stays, in the source solve of
-    # `conjugate` too, because perfbench pins it: test_spans.py asserts 100
-    # evaluations per node and DeepSolve.required names the
-    # conjugacy.pullback and conjugacy.solve spans (ROADMAP items 6 and 7).
+    # T's bisection pull-back is most of this solve's time (0.42-0.43 s of
+    # 0.57-0.60 s for quadratic(0.2) at 2^20+1 nodes, medians of 5 in two
+    # rounds, 2-core Xeon VM) and serves only the residual.  It stays, in
+    # the source solve of `conjugate` too, because perfbench pins it:
+    # test_spans.py asserts 100 evaluations per node and
+    # DeepSolve.required names the conjugacy.pullback and conjugacy.solve
+    # spans (ROADMAP items 6 and 7).
     # `_labelled_h` has checked the branches and h fixes the anchors, so T
     # is applied without contraction_step's checks
     log = ConvergenceLog(
-        residual=float(np.max(np.abs(_step(h, pair).values - h.values))),
+        residual=float(np.max(np.abs(_step(h, pair) - h.values))),
         grid=int(h.grid_size),
         max_local_variation=h.max_local_variation,
         strictly_increasing=h.is_strictly_increasing(),

@@ -115,13 +115,31 @@ def quadratic_pair(c: float) -> MapPair:
     if not np.isfinite(c):
         raise BadSpec(f"c must be finite, got {c!r}")
 
+    # delta1 is (t + 1.0) / 2.0 + c * (1.0 - t * t) and delta2 is
+    # (t - 1.0) / 2.0 - c * (1.0 - t * t): the same float operations into
+    # two arrays that each call owns, in place of six temporaries, since
+    # the bisection evaluates a branch 100 times per node.  A 0-d `t`
+    # gives float64 scalars, which the in-place operators replace rather
+    # than write; only the subtraction must be told not to write one
+    def bend(t):
+        out = t * t
+        out = np.subtract(1.0, out, out=out if t.ndim else None)
+        out *= c
+        return out
+
     def d1(t):
         t = np.asarray(t, dtype=float)
-        return (t + 1.0) / 2.0 + c * (1.0 - t * t)
+        out = t + 1.0
+        out /= 2.0
+        out += bend(t)
+        return out
 
     def d2(t):
         t = np.asarray(t, dtype=float)
-        return (t - 1.0) / 2.0 - c * (1.0 - t * t)
+        out = t - 1.0
+        out /= 2.0
+        out -= bend(t)
+        return out
 
     return MapPair(
         family="quadratic",
@@ -423,6 +441,16 @@ def guiding_sets(pair: MapPair, grid: int = DEFAULT_GRID,
     return tuple(sets)
 
 
+def _grid_with_anchors(grid: int) -> np.ndarray:
+    """np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS) without its sort:
+    the uniform grid increases already, so only the anchors it lacks are
+    inserted, each at its place."""
+    t = np.linspace(-1.0, 1.0, grid)
+    lacking = [a for a, i in zip(ANCHORS, np.searchsorted(t, ANCHORS))
+               if i == t.size or t[i] != a]
+    return np.insert(t, np.searchsorted(t, lacking), lacking) if lacking else t
+
+
 def check_branches_invertible(pair: MapPair):
     """Reject pairs whose branches have no inverse.
 
@@ -455,7 +483,7 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
     """
     if grid < MIN_GRID:
         raise ValueError(f"validation grid must be >= {MIN_GRID}")
-    t = np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS)
+    t = _grid_with_anchors(grid)
 
     add_dev = float(np.max(np.abs(pair.delta1(t) + pair.delta2(t) - t)))
 

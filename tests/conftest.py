@@ -1,8 +1,9 @@
 """Shared fixtures: built-in pairs and cached solver runs, the sup
 distance of two functions on shared nodes, the contraction iteration on a
-given grid, the 120-bit orbit the library's float orbit is checked
-against, and the flat family's maps one ramp at a time, which the
-library's evaluator is checked against bit for bit.
+given grid, and the references the library is checked against: the
+120-bit orbit for its float orbit, and bit for bit one step of T by
+boolean masks, the read-off of h from the labelled orbit by search and
+scatter, and the flat family's maps one ramp at a time.
 
 The expensive conjugation solves are session-scoped so the whole suite
 pays for each grid size once.
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from pconfig import (
+    BranchInverse,
     MonotoneFunction,
     conjugate_to_standard,
     contraction_step,
@@ -21,6 +23,8 @@ from pconfig import (
     quadratic_pair,
     standard_pair,
 )
+from pconfig.conjugacy import _labelled_orbit
+from pconfig.families import ANCHORS
 
 
 def sup_gap(f, g):
@@ -57,6 +61,18 @@ def iterate_contraction(pair, nodes, start=None):
         g = g_next
     ratios = [b / a for a, b in zip(distances, distances[1:]) if a > 0.0]
     return g, distances, ratios
+
+
+def reference_step(g, pair):
+    """The values of one step of T at g's nodes, each branch selected by
+    a boolean mask and chi = -1, +1 added as an array."""
+    fz = BranchInverse(pair).pull_back(g.nodes)
+    left = g.nodes <= 0.0
+    fz[left] = np.maximum.accumulate(fz[left])
+    fz[~left] = np.maximum.accumulate(fz[~left])
+    chi = np.where(left, -1.0, 1.0)
+    return np.maximum.accumulate(
+        0.5 * (np.interp(fz, g.nodes, g.values) + chi))
 
 
 #: Working precision of the reference orbit, in bits.
@@ -108,6 +124,23 @@ def exact_orbit(pair, depth):
             x = [delta2(t) for t in x] + [delta1(t) for t in x[1:]]
     with mpmath.workprec(53):
         return np.array([float(+t) for t in x])
+
+
+def reference_read_off(pair, depth):
+    """The orbit grid and h's values on it, read off the labelled orbit
+    by ``np.unique``, ``searchsorted`` and ``np.minimum.at``.
+
+    The nodes are the distinct orbit points.  Each takes the smallest
+    label of the words that land on it, an anchor its own label, and the
+    labels are sorted alongside the nodes.
+    """
+    x = _labelled_orbit(pair, depth)
+    nodes = np.unique(x)
+    labels = np.full(nodes.size, np.inf)
+    np.minimum.at(labels, np.searchsorted(nodes, x),
+                  np.linspace(-1.0, 1.0, x.size))
+    labels[np.searchsorted(nodes, ANCHORS)] = ANCHORS
+    return nodes, np.sort(labels)
 
 
 def flat_reference(n):

@@ -7,7 +7,8 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import exact_orbit, iterate_contraction, sup_gap
+from conftest import (exact_orbit, iterate_contraction, reference_read_off,
+                      reference_step, sup_gap)
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
@@ -37,6 +38,7 @@ from pconfig.conjugacy import (
     _labelled_h,
     _labelled_orbit,
 )
+from pconfig.families import ANCHORS
 
 TOL = 1e-10
 
@@ -115,6 +117,32 @@ def test_step_contracts_by_half(g1, g2):
     d_before = sup_gap(g1, g2)
     d_after = sup_gap(contraction_step(g1, pair), contraction_step(g2, pair))
     assert d_after <= 0.5 * d_before + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(cone_functions())
+def test_step_is_the_masked_reference_on_any_iterate(g):
+    # the step works on the two branches' slices in place; its floats are
+    # those of the boolean-mask form
+    pair = quadratic_pair(0.2)
+    assert (contraction_step(g, pair).values.tobytes()
+            == reference_step(g, pair).tobytes())
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "quadratic", "c": 0.2}, {"family": "quadratic", "c": 0.249},
+    {"family": "perturbed_flat", "n": 2}, QUASI,
+], ids=["quadratic(0.2)", "quadratic(0.249)", "perturbed_flat(2)", "quasi"])
+def test_step_is_the_masked_reference_on_the_solved_h(spec):
+    # on the solver's h, and on the identity whose zero node is -0.0,
+    # which the left branch takes as it takes +0.0
+    pair = build_family(spec)
+    h, _ = conjugate_to_standard(pair, grid=4097)
+    nodes = np.linspace(-1.0, 1.0, 257)
+    nodes[128] = -0.0
+    for g in (h, MonotoneFunction(nodes, nodes)):
+        assert (contraction_step(g, pair).values.tobytes()
+                == reference_step(g, pair).tobytes())
 
 
 def test_step_rejects_interval_flat_branch():
@@ -438,6 +466,42 @@ def test_collided_words_keep_one_label_each():
     assert np.array_equal(h.nodes, x[first])
     assert np.array_equal(h.values, np.sort(labels))
     assert h.fixes_anchors() and log.strictly_increasing
+
+
+#: Pairs whose orbits keep every word apart, lose words to collisions
+#: near the endpoints (quadratic(0.249), (0.2480)) or at a critical value
+#: (T_3), or put words out of label order.
+_READ_OFF_SPECS = {
+    "quadratic(0.2)": {"family": "quadratic", "c": 0.2},
+    "quadratic(-0.2)": {"family": "quadratic", "c": -0.2},
+    "quadratic(0.249)": {"family": "quadratic", "c": 0.249},
+    "quadratic(-0.249)": {"family": "quadratic", "c": -0.249},
+    "quadratic(0.2480)": {"family": "quadratic", "c": 0.2480},
+    "T_3": {"family": "polynomial", "delta1": [0.25, 0.5, 0.75, 0, -0.5]},
+    "quasi": QUASI,
+    **{f"perturbed_flat({n})": {"family": "perturbed_flat", "n": n}
+       for n in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("name, depth", [
+    *((name, depth) for depth in (11, 15) for name in _READ_OFF_SPECS),
+    ("quadratic(0.249)", 19),
+])
+def test_read_off_is_the_search_and_scatter_reference(name, depth):
+    # the nodes and each node's smallest label come from stable sorts of
+    # the word-indexed orbit; they are the bytes of np.unique and of
+    # np.minimum.at over searchsorted, and the anchors' nodes are pinned
+    # as their labels are, so the zero node is +0.0
+    pair = build_family(_READ_OFF_SPECS[name])
+    nodes, labels = reference_read_off(pair, depth)
+    assert build_orbit_grid(pair, depth).tobytes() == nodes.tobytes()
+    h = _labelled_h(pair, 2 ** (depth + 1) + 1)
+    assert h.nodes.tobytes() == nodes.tobytes()
+    assert h.values.tobytes() == labels.tobytes()
+    at = np.searchsorted(h.nodes, ANCHORS)
+    assert h.nodes[at].tobytes() == np.array(ANCHORS).tobytes()
+    assert h.values[at].tobytes() == np.array(ANCHORS).tobytes()
 
 
 def test_uniqueness_across_initial_guesses(quad02):

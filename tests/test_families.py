@@ -20,7 +20,8 @@ from pconfig import (
     standard_pair,
     validate,
 )
-from pconfig.families import ANCHORS, check_branches_invertible
+from pconfig.families import (ANCHORS, _grid_with_anchors,
+                              check_branches_invertible)
 
 GRID = np.linspace(-1.0, 1.0, 2001)
 
@@ -131,6 +132,37 @@ def test_perturbed_flat_is_its_reference_bit_for_bit(n):
             got, want = f(x), reference(x)
             assert type(got) is type(want) and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (name, x)
+
+
+def _quadratic_reference(c):
+    """delta1 and delta2 of ``quadratic(c)`` as their closed forms."""
+    return (lambda t: (t + 1.0) / 2.0 + c * (1.0 - t * t),
+            lambda t: (t - 1.0) / 2.0 - c * (1.0 - t * t))
+
+
+@pytest.mark.parametrize("c", [0.2, -0.2, 0.249, -0.249, 0.0, -0.0],
+                         ids=repr)
+def test_quadratic_is_its_closed_form_bit_for_bit(c):
+    # the branches compute in place into two arrays of their own; every
+    # float is the closed form's, down to the sign of zero, the input is
+    # left as it was, and a scalar gives a shape-() float64
+    pair = quadratic_pair(c)
+    points = np.concatenate((
+        np.random.default_rng(0).uniform(-1.0, 1.0, 10 ** 5),
+        _neighbours(np.array(ANCHORS)), [-0.0]))
+    points.setflags(write=False)
+    before = points.tobytes()
+    for f, reference in zip((pair.delta1, pair.delta2),
+                            _quadratic_reference(c)):
+        got = f(points)
+        assert got.dtype == float and got.shape == points.shape
+        assert got.tobytes() == reference(points).tobytes()
+        assert points.tobytes() == before
+        for x in (*ANCHORS, -0.0, 0.5, np.nextafter(1.0, 0.0)):
+            for arg in (x, np.float64(x), np.array(x)):
+                got, want = f(arg), reference(np.float64(x))
+                assert type(got) is np.float64 and got.shape == ()
+                assert got.tobytes() == want.tobytes(), x
 
 
 def test_perturbed_flat_derivative_strictly_below_one():
@@ -332,6 +364,16 @@ def test_quasi_mode_skips_additivity():
 def test_validate_rejects_tiny_grid():
     with pytest.raises(ValueError):
         validate(standard_pair(), grid=128)
+
+
+@pytest.mark.parametrize("grid", [0, 1, 2, 257, 1000, 1001, 4097, 2 ** 20 + 1])
+def test_grid_with_anchors_is_their_union(grid):
+    # validate and fe_residual sample the uniform grid plus the anchors;
+    # inserting the anchors it lacks gives the bytes of the sorted union,
+    # whether the grid holds 0 (odd sizes), misses it (even sizes) or is
+    # shorter than the anchors
+    want = np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS)
+    assert _grid_with_anchors(grid).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
