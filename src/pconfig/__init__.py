@@ -37,6 +37,7 @@ from .conjugacy import (
 )
 from .errors import (
     AnchorsNotFixed,
+    BadArgument,
     BadDomain,
     BadSpec,
     BranchNotInvertible,

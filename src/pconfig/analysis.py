@@ -36,7 +36,7 @@ import numpy as np
 
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate
-from .errors import ScaleBelowGrid
+from .errors import BadArgument, ScaleBelowGrid
 from .families import MapPair, flat_interval, perturbed_flat_pair
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -78,6 +78,16 @@ def _local_gaps(nodes: np.ndarray, queries) -> np.ndarray:
     return nodes[idx] - nodes[idx - 1]
 
 
+def _check_probe(t0: float, k_min: int, k_max: int):
+    """Refuse t0 other than -1 or 1, or scales other than 0 < k_min < k_max
+    <= 1074 (2^-1075 rounds to 0.0), with :class:`BadArgument`."""
+    if t0 not in (-1.0, 1.0):
+        raise BadArgument(f"t0 must be -1 or 1, got {t0}")
+    if not 0 < k_min < k_max <= 1074:
+        raise BadArgument(
+            f"need 0 < k_min < k_max <= 1074, got {k_min}:{k_max}")
+
+
 def difference_quotients(f: MonotoneFunction, t0: float,
                          k_min: int = 4, k_max: int = 10) -> QuotientProbe:
     """One-sided quotients |f(t0) - f(t0 -/+ 2^-k)| / 2^-k, k = k_min..k_max.
@@ -87,10 +97,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
     the grid: 2^-k_max has to be at least twice the widest node gap inside
     the probed window, else :class:`ScaleBelowGrid`.
     """
-    if t0 not in (-1.0, 1.0):
-        raise ValueError("t0 must be -1 or 1")
-    if not (0 < k_min < k_max):
-        raise ValueError("need 0 < k_min < k_max")
+    _check_probe(t0, k_min, k_max)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = np.arange(k_min, k_max + 1)
     scales = 2.0 ** (-ks.astype(float))
@@ -192,12 +199,9 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     label.  The cost is about depth^2 / 2 steps of one vectorised walk,
     whatever the number of scales.
     """
-    if t0 not in (-1.0, 1.0):
-        raise ValueError("t0 must be -1 or 1")
-    if not 0 < k_min < k_max:
-        raise ValueError("need 0 < k_min < k_max")
+    _check_probe(t0, k_min, k_max)
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise BadArgument(f"depth must be >= 0, got {depth}")
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
     scales = np.array([2.0 ** (-float(k)) for k in ks])
@@ -342,15 +346,13 @@ def nonregular_experiment(n: int, k: int,
 
     Raises
     ------
-    ValueError
+    BadArgument
         If n == k or either index is < 1 (no contradiction derivable).
     BadSpec
         If a flat-point family cannot be built, e.g. for n > 51.
     """
-    if n == k:
-        raise ValueError("need two distinct cells: n != k")
-    if n < 1 or k < 1:
-        raise ValueError("cell indices must be >= 1")
+    if n == k or n < 1 or k < 1:
+        raise BadArgument(f"need cells n != k, both >= 1, got n={n}, k={k}")
     pair_n = perturbed_flat_pair(n)
     pair_k = perturbed_flat_pair(k)
 

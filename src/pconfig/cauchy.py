@@ -31,7 +31,7 @@ from . import funcspace
 # checks that its tracer wraps this import site (ROADMAP item 6)
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
 from .errors import AnchorsNotFixed, InvalidPair
-from .families import (MIN_GRID, MapPair, _grid_with_anchors,
+from .families import (MapPair, _grid_with_anchors, check_grid,
                        pairs_agree_on_grid, quadratic_pair, standard_pair,
                        validate)
 from .funcspace import MonotoneFunction
@@ -74,6 +74,7 @@ def fe_residual(f, pair: MapPair, grid: int = DEFAULT_GRID) -> float:
     (linear comparators c t with |c| > 1 cannot be monotone samples, yet
     are exact solutions whenever the pair is additive).
     """
+    check_grid(grid)
     if isinstance(f, MonotoneFunction):
         def ev(x):
             return funcspace.evaluate(f, np.clip(x, -1.0, 1.0))
@@ -119,11 +120,10 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
         configuration (guided pairs are rejected here: the construction's
         uniqueness argument needs strictly increasing branches), or if
         an explicit `target` is not additive.
-    ValueError
-        If `grid` is below ``MIN_GRID``, whichever target is used.
+    BadArgument
+        If `grid` is outside MIN_GRID .. MAX_GRID, whichever the target.
     """
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be >= {MIN_GRID}")
+    check_grid(grid)
     classification = validate(pair).classification
     if classification not in ("regular", "quasi-regular"):
         raise InvalidPair(

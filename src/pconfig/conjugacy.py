@@ -60,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .errors import AnchorsNotFixed
-from .families import (ANCHORS, DEFAULT_GRID, MIN_GRID, MapPair,
-                       check_branches_invertible)
+from .errors import AnchorsNotFixed, BadArgument
+from .families import (ANCHORS, DEFAULT_GRID, MapPair,
+                       check_branches_invertible, check_grid)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -246,7 +246,7 @@ def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     every word that reaches an anchor restarts from it exactly.
     """
     if depth < 0:
-        raise ValueError(f"orbit depth must be >= 0, got {depth}")
+        raise BadArgument(f"orbit depth must be >= 0, got {depth}")
     x = np.array(ANCHORS)
     for _ in range(depth):
         x = np.concatenate((pair.delta2(x), pair.delta1(x)[1:]))
@@ -280,12 +280,6 @@ def _run_starts(xs: np.ndarray) -> np.ndarray:
     return first
 
 
-def _solver_depth(grid: int) -> int:
-    if grid < MIN_GRID:
-        raise ValueError(f"grid must be >= {MIN_GRID}")
-    return max(2, int(math.floor(math.log2(grid - 1))) - 1)
-
-
 def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
     """The values of h at `nodes`, the nodes of build_orbit_grid(pair, depth).
 
@@ -311,9 +305,10 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
 
 
 def _labelled_h(pair: MapPair, grid: int) -> MonotoneFunction:
-    """h of `pair` read off its labelled orbit on the solver's grid for
-    `grid`; the branches must be invertible."""
-    depth = _solver_depth(grid)
+    """h of `pair` read off its labelled orbit on the largest 2^d + 1
+    nodes within `grid`; the branches must be invertible."""
+    check_grid(grid)
+    depth = int(math.floor(math.log2(grid - 1))) - 1
     check_branches_invertible(pair)
     nodes = build_orbit_grid(pair, depth)
     labels = _orbit_labels(pair, depth, nodes)
@@ -439,11 +434,11 @@ def orbit_points(pair: MapPair, max_len: int,
     exactly (every built-in family) x is the word walked through the
     pair's maps one branch at a time, bit for bit.
     """
+    if any(base not in ANCHORS for base in bases):
+        raise BadArgument(f"bases must be among -1, 0, 1, got {bases}")
     x = _labelled_orbit(pair, max_len)
     out = []
     for base in bases:
-        if base not in ANCHORS:
-            raise ValueError("bases must be among -1, 0, 1")
         y = np.array([float(base)])
         labels = [y]
         for _ in range(max_len):

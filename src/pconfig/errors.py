@@ -2,12 +2,11 @@
 
 Every error about a pair, a sampled function or a computation on them
 derives from :class:`PConfigError`, so callers can catch the whole family
-with one clause.  An argument outside its stated range (a grid below
-``MIN_GRID``, an endpoint other than -1 or 1, a scale range, a negative
-enclosure depth, a negative orbit depth, cell indices, orbit bases)
-raises the built-in ``ValueError``, as Python's own functions do; the CLI
-checks each such argument before calling the library.  Validation of map
-pairs does *not* raise: an invalid configuration is a legitimate result
+with one clause.  An argument outside its stated range (grid, endpoint,
+scales, depth, cell indices, orbit bases) raises :class:`BadArgument`,
+also a ``ValueError`` as in Python's own functions, from one library
+check; the CLI reports it as any pconfig error.  Validation of map pairs
+does *not* raise: an invalid configuration is a legitimate result
 (classification ``"invalid"``), not an error.  Nor do the other verdicts:
 a drifting dyadic check makes the flat-cell experiment ``"inconclusive"``
 and a coinciding source and target a ``degenerate`` certificate.  The
@@ -17,6 +16,10 @@ library issues no warnings.
 
 class PConfigError(Exception):
     """Base class for all pconfig errors."""
+
+
+class BadArgument(PConfigError, ValueError):
+    """An argument outside the range its function accepts."""
 
 
 # --- function-space errors -------------------------------------------------

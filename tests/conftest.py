@@ -1,6 +1,7 @@
 """Shared fixtures: built-in pairs and cached solver runs, the sup
 distance of two functions on shared nodes, the contraction iteration on a
-given grid, and the references the library is checked against: the
+given grid, a cap on the process's memory for arguments that would
+exhaust it, and the references the library is checked against: the
 120-bit orbit for its float orbit, and bit for bit one step of T by
 boolean masks, the read-off of h from the labelled orbit by search and
 scatter, and the flat family's maps one ramp at a time.
@@ -8,6 +9,8 @@ scatter, and the flat family's maps one ramp at a time.
 The expensive conjugation solves are session-scoped so the whole suite
 pays for each grid size once.
 """
+
+import resource
 
 import mpmath
 import numpy as np
@@ -196,6 +199,27 @@ def flat_reference(n):
 
     return (d1, lambda t: np.asarray(t, dtype=float) - d1(t),
             d1p, lambda t: 1.0 - d1p(t))
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space 1 GiB above its present size for
+    the test, where Linux reports that size: an allocation sized by a huge
+    argument that slips past its check then fails at once, instead of
+    exhausting the machine's memory."""
+    try:
+        with open("/proc/self/statm") as f:
+            size = int(f.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2 ** 30
+    if limits[1] != resource.RLIM_INFINITY:
+        cap = min(cap, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, limits)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 from pconfig import cauchy
 from pconfig import (
     AnchorsNotFixed,
+    BadArgument,
     InvalidPair,
     MonotoneFunction,
     NotInvertible,
@@ -45,6 +46,16 @@ def test_square_residual_half_at_origin(std):
 def test_residual_accepts_monotone_functions(quad02, quad02_solved):
     h, _ = quad02_solved
     assert fe_residual(h, quad02) <= 1e-3
+
+
+@pytest.mark.parametrize("grid", [0, 1, 2, 3, -5, 256])
+def test_residual_refuses_a_grid_below_the_floor(quad02, quad02_solved, grid):
+    # grids 0-3 used to sample only points where h solves the equation
+    # exactly and report 0.0, while the residual is 3.8e-4 at 4097 points
+    h, _ = quad02_solved
+    assert 3.7e-4 < fe_residual(h, quad02, grid=4097) < 3.9e-4
+    with pytest.raises(BadArgument, match="grid must be >= 257"):
+        fe_residual(h, quad02, grid=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -186,11 +186,25 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     ["conjugate", "--config", "{c03}"],
     ["probe", "--h-csv", "{coarse}", "--scales", "8:13"],
     ["nonregular", "--n", "52"],
+    # refused by the library's argument checks: a grid no memory holds,
+    # an endpoint that is neither -1 nor 1, one scale, and scales below
+    # the smallest double
+    ["validate", "--config", "{quad}", "--grid", "100000000000000"],
+    ["conjugate", "--config", "{quad}", "--grid", "100000000000000"],
+    ["solve-fe", "--config", "{quad}", "--grid", "100000000000000"],
+    ["probe", "--config", "{quad}", "--grid", "100000000000000"],
+    ["nonregular", "--grid", "100000000000000"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "2:4", "--t0", "0.5"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "3:3"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "1:10000000000"],
 ], ids=["validate", "conjugate", "conjugate-target", "solve-fe", "probe",
         "probe-h-csv", "nonregular", "conjugate-c03", "probe-scales",
-        "nonregular-n52"])
+        "nonregular-n52", "validate-huge-grid", "conjugate-huge-grid",
+        "solve-fe-huge-grid", "probe-huge-grid", "nonregular-huge-grid",
+        "probe-t0", "probe-one-scale", "probe-huge-scales"])
 def test_refused_input_leaves_no_output_directory(argv, quad_config,
-                                                  tmp_path):
+                                                  tmp_path, capsys,
+                                                  address_space_cap):
     from pconfig import funcspace
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "quadratic", "c": "nan"}))
@@ -201,7 +215,10 @@ def test_refused_input_leaves_no_output_directory(argv, quad_config,
     argv = [a.format(bad=bad, quad=quad_config, c03=c03, coarse=coarse,
                      missing=tmp_path / "missing.csv") for a in argv]
     out = tmp_path / "fresh" / "out"
-    assert run([*argv, "--grid", 1025, "--out", out]) == 2
+    # a --grid in argv comes later and wins
+    assert run([argv[0], "--grid", 1025, *argv[1:], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "fresh").exists()
 
 
