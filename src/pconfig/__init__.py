@@ -53,9 +53,7 @@ from .families import (
     SetApprox,
     ValidationReport,
     build_family,
-    classify,
     flat_interval,
-    guiding_sets,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,

@@ -78,14 +78,15 @@ def _local_gaps(nodes: np.ndarray, queries) -> np.ndarray:
     return nodes[idx] - nodes[idx - 1]
 
 
-def _check_probe(t0: float, k_min: int, k_max: int):
+def check_probe(t0: float, k_min: int, k_max: int):
     """Refuse t0 other than -1 or 1, or scales other than 0 < k_min < k_max
-    <= 1074 (2^-1075 rounds to 0.0), with :class:`BadArgument`."""
+    <= 1023, with :class:`BadArgument`: the enclosure's quotient bounds
+    reach 2^k_max, and no grid resolves a scale below 2^-52."""
     if t0 not in (-1.0, 1.0):
         raise BadArgument(f"t0 must be -1 or 1, got {t0}")
-    if not 0 < k_min < k_max <= 1074:
-        raise BadArgument(
-            f"need 0 < k_min < k_max <= 1074, got {k_min}:{k_max}")
+    if not 0 < k_min < k_max <= 1023:
+        raise BadArgument(f"need 0 < k_min < k_max <= 1023 (a quotient "
+                          f"bound reaches 2^k_max), got {k_min}:{k_max}")
 
 
 def difference_quotients(f: MonotoneFunction, t0: float,
@@ -97,7 +98,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
     the grid: 2^-k_max has to be at least twice the widest node gap inside
     the probed window, else :class:`ScaleBelowGrid`.
     """
-    _check_probe(t0, k_min, k_max)
+    check_probe(t0, k_min, k_max)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = np.arange(k_min, k_max + 1)
     scales = 2.0 ** (-ks.astype(float))
@@ -199,7 +200,7 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     label.  The cost is about depth^2 / 2 steps of one vectorised walk,
     whatever the number of scales.
     """
-    _check_probe(t0, k_min, k_max)
+    check_probe(t0, k_min, k_max)
     if depth < 0:
         raise BadArgument(f"depth must be >= 0, got {depth}")
     sign = -1.0 if t0 == 1.0 else 1.0

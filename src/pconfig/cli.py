@@ -157,6 +157,7 @@ def cmd_solve_fe(args) -> int:
 
 def cmd_probe(args) -> int:
     k_min, k_max = _parse_scales(args.scales)
+    analysis.check_probe(args.t0, k_min, k_max)
     if args.h_csv is not None:
         h = funcspace.from_csv(_read_text(args.h_csv))
     else:

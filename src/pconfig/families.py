@@ -36,7 +36,7 @@ Families provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -417,7 +417,7 @@ class ValidationReport(Report):
     rho: float
     guiding_set_1: SetApprox
     guiding_set_2: SetApprox
-    classification: str = field(default="invalid")
+    classification: str
 
 
 def _runs(mask: np.ndarray) -> list[np.ndarray]:
@@ -426,29 +426,6 @@ def _runs(mask: np.ndarray) -> list[np.ndarray]:
     if not idx.size:
         return []
     return np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-
-
-def guiding_sets(pair: MapPair, grid: int = DEFAULT_GRID,
-                 ) -> tuple[SetApprox, SetApprox]:
-    """Grid approximations of both guiding sets.
-
-    Maximal runs of grid points with derivative <= FLAT_TOL become closed
-    intervals; an interval spanning at most two grid steps is flagged as a
-    singleton (grid-level resolution is the honest claim).  For the
-    flat-point family the analytically known zero is attached as well.
-    """
-    check_grid(grid)
-    t = np.linspace(-1.0, 1.0, grid)
-    sets = []
-    for d_eval, exact in ((pair.d_delta1, pair.flat_points),
-                          (pair.d_delta2, ())):
-        runs = _runs(np.asarray(d_eval(t)) <= FLAT_TOL)
-        sets.append(SetApprox(
-            intervals=tuple((float(t[r[0]]), float(t[r[-1]])) for r in runs),
-            singleton_flags=tuple(bool(r.size <= 3) for r in runs),
-            exact_points=tuple(exact),
-        ))
-    return tuple(sets)
 
 
 def _grid_with_anchors(grid: int) -> np.ndarray:
@@ -485,29 +462,35 @@ def check_branches_invertible(pair: MapPair):
 
 def validate(pair: MapPair, grid: int = DEFAULT_GRID,
              ) -> ValidationReport:
-    """Check the configuration axioms on a uniform grid plus the anchors,
-    to AXIOM_TOL; guiding sets use FLAT_TOL.
+    """Check the configuration axioms to AXIOM_TOL and classify the pair,
+    from one sample of each map on a uniform grid plus the anchors.
 
-    Invalid configurations produce ``classification="invalid"``, never an
-    error.
+    The boundary values are the samples at the anchors.  Each guiding set
+    holds the maximal runs of samples with derivative <= FLAT_TOL, flagged
+    as singletons when at most two grid steps wide (grid-level resolution
+    is the honest claim), and the flat-point family's known zero.  A pair
+    failing the derivative-sign or boundary check is ``invalid``;
+    otherwise, with empty guiding sets it is ``regular`` if additive and
+    ``quasi-regular`` if not, with nonempty ones ``guided`` if additive
+    and ``invalid`` if not.  An invalid pair is a result, never an error.
     """
     check_grid(grid)
     t = _grid_with_anchors(grid)
+    v1, v2 = np.asarray(pair.delta1(t)), np.asarray(pair.delta2(t))
+    d1v, d2v = np.asarray(pair.d_delta1(t)), np.asarray(pair.d_delta2(t))
 
-    add_dev = float(np.max(np.abs(pair.delta1(t) + pair.delta2(t) - t)))
-
-    d1v = np.asarray(pair.d_delta1(t))
-    d2v = np.asarray(pair.d_delta2(t))
+    add_dev = float(np.max(np.abs(v1 + v2 - t)))
     dmin1, dmin2 = float(np.min(d1v)), float(np.min(d2v))
     derivative_ok = dmin1 >= -AXIOM_TOL and dmin2 >= -AXIOM_TOL
 
+    lo, mid, hi = np.searchsorted(t, ANCHORS)
     b = {
-        "delta1(-1)": float(pair.delta1(-1.0)),
-        "delta1(0)": float(pair.delta1(0.0)),
-        "delta1(1)": float(pair.delta1(1.0)),
-        "delta2(-1)": float(pair.delta2(-1.0)),
-        "delta2(0)": float(pair.delta2(0.0)),
-        "delta2(1)": float(pair.delta2(1.0)),
+        "delta1(-1)": float(v1[lo]),
+        "delta1(0)": float(v1[mid]),
+        "delta1(1)": float(v1[hi]),
+        "delta2(-1)": float(v2[lo]),
+        "delta2(0)": float(v2[mid]),
+        "delta2(1)": float(v2[hi]),
     }
     boundary_ok = (
         abs(b["delta2(-1)"] + 1.0) <= AXIOM_TOL
@@ -516,10 +499,24 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
         and abs(b["delta1(1)"] - 1.0) <= AXIOM_TOL
     )
 
-    rho = float(np.max(np.maximum(d1v, d2v)))
-    g1, g2 = guiding_sets(pair, grid=grid)
+    g1, g2 = (
+        SetApprox(
+            intervals=tuple((float(t[r[0]]), float(t[r[-1]])) for r in runs),
+            singleton_flags=tuple(bool(r.size <= 3) for r in runs),
+            exact_points=tuple(exact),
+        )
+        for runs, exact in ((_runs(d1v <= FLAT_TOL), pair.flat_points),
+                            (_runs(d2v <= FLAT_TOL), ()))
+    )
+    guiding_empty = g1.is_empty and g2.is_empty
+    if not (derivative_ok and boundary_ok):
+        classification = "invalid"
+    elif add_dev <= AXIOM_TOL:
+        classification = "regular" if guiding_empty else "guided"
+    else:
+        classification = "quasi-regular" if guiding_empty else "invalid"
 
-    report = ValidationReport(
+    return ValidationReport(
         family=pair.descriptor(),
         grid=int(grid),
         tol=AXIOM_TOL,
@@ -531,24 +528,8 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
         derivative_min_2=dmin2,
         boundary_ok=boundary_ok,
         boundary_values=b,
-        rho=rho,
+        rho=float(np.max(np.maximum(d1v, d2v))),
         guiding_set_1=g1,
         guiding_set_2=g2,
+        classification=classification,
     )
-    return replace(report, classification=classify(report))
-
-
-def classify(report: ValidationReport) -> str:
-    """Classification lattice over a validation report.
-
-    * any derivative-sign or boundary failure -> ``invalid``;
-    * additive -> ``regular`` (empty guiding sets) or ``guided``;
-    * not additive -> ``quasi-regular`` if the guiding sets are empty,
-      else ``invalid``.
-    """
-    if not (report.derivative_nonneg_ok and report.boundary_ok):
-        return "invalid"
-    guiding_empty = report.guiding_set_1.is_empty and report.guiding_set_2.is_empty
-    if report.additivity_ok:
-        return "regular" if guiding_empty else "guided"
-    return "quasi-regular" if guiding_empty else "invalid"

@@ -11,8 +11,7 @@ chosen to equidistribute.
 
 Conventions
 -----------
-* Node values are compared exactly; interpolated comparisons always carry
-  an explicit tolerance argument.
+* Node values are compared exactly.
 * :func:`invert` is the one inverse; it accepts only strictly increasing
   functions with full range [-1, 1].
 * The constructor owns its samples: it copies any input the caller can

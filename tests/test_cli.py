@@ -338,6 +338,22 @@ def test_probe_existing_csv_and_scale_mismatch(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("probe_args", [["--t0", "0.5"], ["--scales", "9:8"]],
+                         ids=["t0", "scales"])
+def test_probe_config_refuses_before_solving(probe_args, quad_config,
+                                             tmp_path, capsys, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the probe")
+
+    monkeypatch.setattr(conjugacy, "conjugate_to_standard", solve)
+    out = tmp_path / "out"
+    assert run(["probe", "--config", quad_config, *probe_args,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_probe_rejects_csv_with_infinite_slope(tmp_path):
     # the slope 0.992 / 2.2e-311 overflows; the nodes from 0.5 up resolve
     # the probed scales, so only that slope makes the file unusable

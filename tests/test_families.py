@@ -12,9 +12,7 @@ from pconfig import (
     BranchNotInvertible,
     MapPair,
     build_family,
-    classify,
     flat_interval,
-    guiding_sets,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
@@ -285,15 +283,17 @@ def test_rho_below_one_iff_regular():
 
 
 def test_guiding_sets_standard_empty():
-    g1, g2 = guiding_sets(standard_pair())
-    assert g1.is_empty and g2.is_empty
+    rep = validate(standard_pair())
+    assert rep.guiding_set_1.is_empty and rep.guiding_set_2.is_empty
 
 
 def _with_derivatives(d1p, d2p):
-    """A pair given by its branch derivatives only, which is all that the
-    guiding sets and the invertibility check read."""
-    return MapPair(family="custom", params={}, delta1=None, delta2=None,
-                   d_delta1=d1p, d_delta2=d2p)
+    """A pair given by its branch derivatives, which is all that the
+    guiding sets and the invertibility check read; its branches are the
+    standard pair's, so that validation has maps to sample."""
+    std = standard_pair()
+    return MapPair(family="custom", params={}, delta1=std.delta1,
+                   delta2=std.delta2, d_delta1=d1p, d_delta2=d2p)
 
 
 def _flat_on(lo, hi):
@@ -308,17 +308,19 @@ def test_flat_runs_guiding_sets_and_invertibility():
     step = 2.0 / 4096
     # two grid points: a singleton guiding set, and still invertible
     two = _flat_on(0.5, 0.5 + step)
-    g1, g2 = guiding_sets(two)
+    rep = validate(two)
+    g1, g2 = rep.guiding_set_1, rep.guiding_set_2
     assert g1.intervals == ((0.5, 0.5 + step),) and g1.singleton_flags == (True,)
     assert g2.is_empty
     check_branches_invertible(two)
     # three grid points: still a singleton, but flat on an interval
     three = _flat_on(0.5, 0.5 + 2 * step)
-    assert guiding_sets(three)[0].singleton_flags == (True,)
+    assert validate(three).guiding_set_1.singleton_flags == (True,)
     with pytest.raises(BranchNotInvertible, match="delta1 is flat"):
         check_branches_invertible(three)
     # four grid points: an interval
-    assert guiding_sets(_flat_on(0.5, 0.5 + 3 * step))[0].singleton_flags == (False,)
+    four = _flat_on(0.5, 0.5 + 3 * step)
+    assert validate(four).guiding_set_1.singleton_flags == (False,)
     # isolated flat points of the built-in families
     for p in (quadratic_pair(0.25), perturbed_flat_pair(2)):
         check_branches_invertible(p)
@@ -335,6 +337,16 @@ def test_decreasing_branch_is_not_invertible():
         check_branches_invertible(only_2)
 
 
+def _lattice(rep):
+    """The classification lattice, read off a report's other fields."""
+    if not (rep.derivative_nonneg_ok and rep.boundary_ok):
+        return "invalid"
+    empty = rep.guiding_set_1.is_empty and rep.guiding_set_2.is_empty
+    if rep.additivity_ok:
+        return "regular" if empty else "guided"
+    return "quasi-regular" if empty else "invalid"
+
+
 def test_classify_consistency():
     for p, expected in [
         (standard_pair(), "regular"),
@@ -344,7 +356,7 @@ def test_classify_consistency():
         (perturbed_flat_pair(2), "guided"),
     ]:
         rep = validate(p)
-        assert classify(rep) == rep.classification == expected
+        assert _lattice(rep) == rep.classification == expected
 
 
 def test_quasi_mode_skips_additivity():
@@ -364,6 +376,46 @@ def test_quasi_mode_skips_additivity():
 def test_validate_rejects_tiny_grid():
     with pytest.raises(ValueError):
         validate(standard_pair(), grid=128)
+
+
+BUILT_IN = [standard_pair(), quadratic_pair(0.2), quadratic_pair(-0.25),
+            quadratic_pair(0.3), perturbed_flat_pair(2),
+            build_family({"family": "polynomial",
+                          "delta1": [0.25, 0.5, 0.75, 0, -0.5]})]
+
+
+@pytest.mark.parametrize("pair", BUILT_IN, ids=repr)
+@pytest.mark.parametrize("grid", [257, 1000, 4097])
+def test_validate_calls_each_map_once(pair, grid):
+    calls = {}
+
+    def counted(name):
+        def f(t):
+            calls[name] = calls.get(name, 0) + 1
+            return getattr(pair, name)(t)
+        return f
+
+    names = ("delta1", "delta2", "d_delta1", "d_delta2")
+    wrapped = MapPair(pair.family, pair.params,
+                      *(counted(name) for name in names), pair.flat_points)
+    assert validate(wrapped, grid).to_json() == validate(pair, grid).to_json()
+    assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("pair", BUILT_IN, ids=repr)
+def test_boundary_values_are_the_scalar_values(pair):
+    b = validate(pair).boundary_values
+    want = {
+        "delta1(-1)": pair.delta1(-1.0),
+        "delta1(0)": pair.delta1(0.0),
+        "delta1(1)": pair.delta1(1.0),
+        "delta2(-1)": pair.delta2(-1.0),
+        "delta2(0)": pair.delta2(0.0),
+        "delta2(1)": pair.delta2(1.0),
+    }
+    assert list(b) == list(want)
+    assert all(np.float64(b[k]).tobytes() == np.float64(want[k]).tobytes()
+               for k in want)
 
 
 @pytest.mark.parametrize("grid", [0, 1, 2, 257, 1000, 1001, 4097, 2 ** 20 + 1])
