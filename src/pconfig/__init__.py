@@ -35,19 +35,7 @@ from .conjugacy import (
     contraction_step,
     orbit_points,
 )
-from .errors import (
-    AnchorsNotFixed,
-    BadArgument,
-    BadDomain,
-    BadSpec,
-    BranchNotInvertible,
-    InvalidPair,
-    NonMonotoneInput,
-    NotInvertible,
-    OutOfDomain,
-    PConfigError,
-    ScaleBelowGrid,
-)
+from .errors import BadArgument, InvalidPair, PConfigError
 from .families import (
     MapPair,
     SetApprox,

@@ -36,8 +36,9 @@ import numpy as np
 
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate
-from .errors import BadArgument, ScaleBelowGrid
-from .families import MapPair, flat_interval, perturbed_flat_pair
+from .errors import BadArgument
+from .families import (MapPair, check_integer, flat_interval,
+                       perturbed_flat_pair)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -79,11 +80,14 @@ def _local_gaps(nodes: np.ndarray, queries) -> np.ndarray:
 
 
 def check_probe(t0: float, k_min: int, k_max: int):
-    """Refuse t0 other than -1 or 1, or scales other than 0 < k_min < k_max
-    <= 1023, with :class:`BadArgument`: the enclosure's quotient bounds
-    reach 2^k_max, and no grid resolves a scale below 2^-52."""
+    """Refuse t0 other than -1 or 1, or scales other than integers 0 <
+    k_min < k_max <= 1023, with :class:`BadArgument`: the enclosure's
+    quotient bounds reach 2^k_max, and no grid resolves a scale below
+    2^-52."""
     if t0 not in (-1.0, 1.0):
         raise BadArgument(f"t0 must be -1 or 1, got {t0}")
+    check_integer("k_min", k_min)
+    check_integer("k_max", k_max)
     if not 0 < k_min < k_max <= 1023:
         raise BadArgument(f"need 0 < k_min < k_max <= 1023 (a quotient "
                           f"bound reaches 2^k_max), got {k_min}:{k_max}")
@@ -96,7 +100,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
     The probe always points toward the interior.  At least two scales
     are needed to fit the exponent.  The finest scale must be resolved by
     the grid: 2^-k_max has to be at least twice the widest node gap inside
-    the probed window, else :class:`ScaleBelowGrid`.
+    the probed window, else :class:`BadArgument`.
     """
     check_probe(t0, k_min, k_max)
     sign = -1.0 if t0 == 1.0 else 1.0
@@ -109,7 +113,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
     bad = scales < 2.0 * local_gaps
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
-        raise ScaleBelowGrid(
+        raise BadArgument(
             f"scale 2^-{int(ks[j])} = {scales[j]:.3g} below grid resolution "
             f"(local node gap {local_gaps[j]:.3g})"
         )
@@ -201,8 +205,10 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     whatever the number of scales.
     """
     check_probe(t0, k_min, k_max)
+    check_integer("depth", depth)
     if depth < 0:
         raise BadArgument(f"depth must be >= 0, got {depth}")
+    depth = int(depth)  # math.ldexp takes no numpy integer
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
     scales = np.array([2.0 ** (-float(k)) for k in ks])
@@ -269,7 +275,11 @@ class DyadicCheckTable(Report):
 
 def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
                              m_max: int = 8) -> DyadicCheckTable:
-    """Tabulate how far h moves the dyadic points 1 - 2^-m."""
+    """Tabulate how far h moves the dyadic points 1 - 2^-m; `m_max` must
+    be an integer >= 1, else :class:`BadArgument`."""
+    check_integer("m_max", m_max)
+    if m_max < 1:
+        raise BadArgument(f"m_max must be >= 1, got {m_max}")
     ms = np.arange(1, m_max + 1)
     scales = 2.0 ** (-ms.astype(float))
     pts = 1.0 - scales
@@ -348,9 +358,8 @@ def nonregular_experiment(n: int, k: int,
     Raises
     ------
     BadArgument
-        If n == k or either index is < 1 (no contradiction derivable).
-    BadSpec
-        If a flat-point family cannot be built, e.g. for n > 51.
+        If n == k or either index is < 1 (no contradiction derivable), or
+        if a flat-point family cannot be built, e.g. for n > 51.
     """
     if n == k or n < 1 or k < 1:
         raise BadArgument(f"need cells n != k, both >= 1, got n={n}, k={k}")

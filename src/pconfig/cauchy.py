@@ -30,7 +30,7 @@ from . import funcspace
 # conjugate_to_standard is not called here: perfbench/test_spans.py
 # checks that its tracer wraps this import site (ROADMAP item 6)
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
-from .errors import AnchorsNotFixed, InvalidPair
+from .errors import BadArgument, InvalidPair
 from .families import (MapPair, _grid_with_anchors, check_grid,
                        pairs_agree_on_grid, quadratic_pair, standard_pair,
                        validate)
@@ -201,13 +201,12 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
 
     Raises
     ------
-    AnchorsNotFixed
-        If `f` does not fix the anchors.
-    NotInvertible
-        If `f` has equal consecutive node values.
+    BadArgument
+        If `f` does not fix the anchors, or has equal consecutive node
+        values.
     """
     if not f.fixes_anchors():
-        raise AnchorsNotFixed("solution must fix -1, 0 and 1 exactly")
+        raise BadArgument("solution must fix -1, 0 and 1 exactly")
 
     t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
     # f spans [-1, 1] once it fixes the anchors, so only a plateau stops

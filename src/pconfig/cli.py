@@ -10,8 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 1 quantitative failure, 2 usage or config error.
 Exit 1 is read off each subcommand's result (and a pair that fails
-validation in ``solve-fe``); exit 2 comes only from :func:`main`, for a
-:class:`UsageError` or any other library error, with one ``error:`` line.
+validation in ``solve-fe``); exit 2 comes only from :func:`main`, for any
+other library error, with one ``error:`` line.
 An input file that cannot be read as UTF-8 text, and an output directory
 that cannot be created or written, are usage errors naming the path.
 
@@ -31,15 +31,11 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, cauchy, conjugacy, families, funcspace
-from .errors import InvalidPair, PConfigError
+from .errors import BadArgument, InvalidPair, PConfigError
 
 EXIT_OK = 0
 EXIT_QUANTITATIVE = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    """Config or argument problem; maps to exit code 2."""
 
 
 # --------------------------------------------------------------------------
@@ -62,7 +58,7 @@ def _atomic_write(path: Path, text: str):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise UsageError(
+        raise BadArgument(
             f"cannot write to output directory {out}: {exc.strerror}") from exc
 
 
@@ -72,15 +68,15 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+        raise BadArgument(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
+        raise BadArgument(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _load_family(path: str | None) -> families.MapPair:
     """The pair a family descriptor file describes."""
     if path is None:
-        raise UsageError("--config <descriptor.json> is required")
+        raise BadArgument("--config <descriptor.json> is required")
     return families.build_family(_read_text(path))
 
 
@@ -109,7 +105,7 @@ def _parse_scales(text: str) -> tuple[int, int]:
     try:
         k_min, k_max = (int(p) for p in text.split(":"))
     except ValueError as exc:
-        raise UsageError(f"--scales expects kmin:kmax, got {text!r}") from exc
+        raise BadArgument(f"--scales expects kmin:kmax, got {text!r}") from exc
     return k_min, k_max
 
 
@@ -247,7 +243,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, PConfigError) as exc:
+    except PConfigError as exc:
         # a pair that fails validation is a result; every other error is
         # an input the command cannot run with
         print(f"error: {exc}", file=sys.stderr)

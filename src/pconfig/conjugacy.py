@@ -60,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import funcspace
-from .errors import AnchorsNotFixed, BadArgument
-from .families import (ANCHORS, DEFAULT_GRID, MapPair,
-                       check_branches_invertible, check_grid)
+from .errors import BadArgument
+from .families import (ANCHORS, DEFAULT_GRID, MAX_GRID, MapPair,
+                       check_branches_invertible, check_grid, check_integer)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -199,14 +199,13 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
 
     Raises
     ------
-    AnchorsNotFixed
+    BadArgument
         If `g` does not fix -1, 0, 1 at nodes (nondecrease is guaranteed
-        by the MonotoneFunction invariant).
-    BranchNotInvertible
-        If a branch of `pair` is flat on an interval.
+        by the MonotoneFunction invariant), or if a branch of `pair` is
+        flat on an interval.
     """
     if not g.fixes_anchors():
-        raise AnchorsNotFixed("iterate must fix -1, 0 and 1 exactly at nodes")
+        raise BadArgument("iterate must fix -1, 0 and 1 exactly at nodes")
     check_branches_invertible(pair)
     values = _step(g, pair)
     values.setflags(write=False)
@@ -235,6 +234,11 @@ def _step(g: MonotoneFunction, pair: MapPair) -> np.ndarray:
 # grids
 # --------------------------------------------------------------------------
 
+#: The deepest orbit walked, the one :func:`_labelled_h` walks at MAX_GRID;
+#: each level doubles the points, so a deeper one outgrows every grid.
+MAX_DEPTH = int(math.floor(math.log2(MAX_GRID - 1))) - 1
+
+
 def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     """Orbit points indexed by their conjugation value.
 
@@ -245,8 +249,10 @@ def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     [0, 1]; the two halves share the label 0.  The anchors stay pinned, so
     every word that reaches an anchor restarts from it exactly.
     """
-    if depth < 0:
-        raise BadArgument(f"orbit depth must be >= 0, got {depth}")
+    check_integer("orbit depth", depth)
+    if not 0 <= depth <= MAX_DEPTH:
+        raise BadArgument(
+            f"orbit depth must be >= 0 and <= {MAX_DEPTH}, got {depth}")
     x = np.array(ANCHORS)
     for _ in range(depth):
         x = np.concatenate((pair.delta2(x), pair.delta1(x)[1:]))
@@ -261,7 +267,7 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     -1, 0, 1, and generically has 2^(depth+1) + 1 points (fewer only if
     distinct words collide at float resolution).  The conjugation to the
     standard pair maps these nodes onto the uniform dyadic grid of step
-    2^-depth.
+    2^-depth.  `depth` must be an integer in 0 .. MAX_DEPTH.
     """
     x = _labelled_orbit(pair, depth)
     x.sort(kind="stable")
@@ -369,7 +375,7 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
 
     Raises
     ------
-    BranchNotInvertible
+    BadArgument
         If a branch decreases or is flat on an interval.
     """
     h = _labelled_h(pair, grid)
@@ -407,7 +413,7 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
 
     Raises
     ------
-    BranchNotInvertible
+    BadArgument
         If a branch of either pair decreases or is flat on an interval.
     """
     h, log = conjugate_to_standard(source, grid=grid)

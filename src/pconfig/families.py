@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import BadArgument, BadSpec, BranchNotInvertible
+from .errors import BadArgument
 from .report import Report
 
 ANCHORS = (-1.0, 0.0, 1.0)
@@ -64,8 +64,17 @@ MIN_GRID = 257
 MAX_GRID = 2**24 + 1
 
 
+def check_integer(name: str, value):
+    """Refuse `value`, the argument `name`, with :class:`BadArgument`
+    unless it is an int or a numpy integer; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadArgument(f"{name} must be an integer, got {value!r}")
+
+
 def check_grid(grid: int):
-    """Refuse a grid outside MIN_GRID .. MAX_GRID with :class:`BadArgument`."""
+    """Refuse a grid that is not an integer in MIN_GRID .. MAX_GRID with
+    :class:`BadArgument`."""
+    check_integer("grid", grid)
     if not MIN_GRID <= grid <= MAX_GRID:
         raise BadArgument(
             f"grid must be >= {MIN_GRID} and <= {MAX_GRID}, got {grid}")
@@ -116,13 +125,13 @@ def standard_pair() -> MapPair:
 
 def quadratic_pair(c: float) -> MapPair:
     if isinstance(c, bool):
-        raise BadSpec(f"c must be a number, got {c!r}")
+        raise BadArgument(f"c must be a number, got {c!r}")
     try:
         c = float(c)
     except OverflowError:
-        raise BadSpec("c holds an integer too large for a float") from None
+        raise BadArgument("c holds an integer too large for a float") from None
     if not np.isfinite(c):
-        raise BadSpec(f"c must be finite, got {c!r}")
+        raise BadArgument(f"c must be finite, got {c!r}")
 
     # delta1 is (t + 1.0) / 2.0 + c * (1.0 - t * t) and delta2 is
     # (t - 1.0) / 2.0 - c * (1.0 - t * t): the same float operations into
@@ -166,12 +175,13 @@ def _coefficients(name: str, coeffs) -> np.ndarray:
     try:
         a = np.asarray(coeffs, dtype=float)
     except OverflowError:
-        raise BadSpec(
+        raise BadArgument(
             f"{name} holds an integer too large for a float") from None
     if a.ndim != 1 or a.size == 0:
-        raise BadSpec(f"{name} coefficients must be a nonempty flat list")
+        raise BadArgument(f"{name} coefficients must be a nonempty flat list")
     if not np.all(np.isfinite(a)):
-        raise BadSpec(f"{name} coefficients must be finite, got {a.tolist()}")
+        raise BadArgument(
+            f"{name} coefficients must be finite, got {a.tolist()}")
     return a
 
 
@@ -218,16 +228,16 @@ _PSI_PLATEAU = 0.5             # p
 
 def perturbed_flat_pair(n: int) -> MapPair:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise BadSpec(f"n must be an integer >= 1, got {n!r}")
+        raise BadArgument(f"n must be an integer >= 1, got {n!r}")
     try:
         left, right = flat_interval(n)
     except OverflowError:
-        raise BadSpec("n holds an integer too large for a float") from None
+        raise BadArgument("n holds an integer too large for a float") from None
     width = right - left
     lam = left + width / 2.0     # the single flat point
     if not left < lam < right:
-        raise BadSpec(f"n must be at most 51, got {n}: no float lies "
-                      "strictly inside J_n around the flat point")
+        raise BadArgument(f"n must be at most 51, got {n}: no float lies "
+                          "strictly inside J_n around the flat point")
     w, p = _PHI_HALFWIDTH, _PSI_PLATEAU
     m = 4.0 * w / (1.0 + p)
     r = (1.0 - p) / 8.0          # psi ramp width in u units
@@ -338,9 +348,9 @@ def build_family(spec) -> MapPair:
     optional) or ``{"family": "perturbed_flat", "n": 2}``.
     A JSON string is also accepted.
 
-    Raises :class:`BadSpec` for malformed descriptors: an unknown family,
-    or a missing, unknown or rejected key (an integer too large for a
-    float included), prefixed with the family name.  Descriptors that are
+    Raises :class:`BadArgument` for malformed descriptors: an unknown
+    family, or a missing, unknown or rejected key (an integer too large
+    for a float included), prefixed with the family name.  Descriptors that are
     well-formed but violate the axioms (e.g. quadratic with |c| > 1/4)
     build fine and fail :func:`validate` instead.
     """
@@ -348,17 +358,18 @@ def build_family(spec) -> MapPair:
         try:
             spec = json.loads(spec)
         except ValueError as exc:  # also integers beyond the digit limit
-            raise BadSpec(f"descriptor is not valid JSON: {exc}") from exc
+            raise BadArgument(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
-        raise BadSpec(f"descriptor must be a dict, got {type(spec).__name__}")
+        raise BadArgument(
+            f"descriptor must be a dict, got {type(spec).__name__}")
     params = dict(spec)
     family = params.pop("family", None)
     if not isinstance(family, str) or family not in _FAMILIES:
-        raise BadSpec(f"unknown family {family!r}")
+        raise BadArgument(f"unknown family {family!r}")
     try:
         return _FAMILIES[family](**params)
-    except (BadSpec, TypeError, ValueError) as exc:
-        raise BadSpec(f"{family}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BadArgument(f"{family}: {exc}") from exc
 
 
 def pairs_agree_on_grid(a: MapPair, b: MapPair) -> bool:
@@ -447,16 +458,16 @@ def check_branches_invertible(pair: MapPair):
 
     Raises
     ------
-    BranchNotInvertible
+    BadArgument
         Naming the branch that decreases or is flat on an interval.
     """
     t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
     for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
         dv = np.asarray(d(t))
         if np.min(dv) < -AXIOM_TOL:
-            raise BranchNotInvertible(f"{name} is decreasing somewhere")
+            raise BadArgument(f"{name} is decreasing somewhere")
         if any(r.size > 2 for r in _runs(dv <= AXIOM_TOL)):
-            raise BranchNotInvertible(
+            raise BadArgument(
                 f"{name} is flat on an interval; branch not invertible")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDomain, NonMonotoneInput, NotInvertible, OutOfDomain
+from .errors import BadArgument
 
 DOMAIN_LEFT = -1.0
 DOMAIN_RIGHT = 1.0
@@ -54,24 +54,25 @@ class MonotoneFunction:
         nodes = _read_only(self.nodes)
         values = _read_only(self.values)
         if nodes.ndim != 1 or values.ndim != 1 or nodes.size != values.size:
-            raise BadDomain("nodes and values must be 1-d arrays of equal length")
+            raise BadArgument(
+                "nodes and values must be 1-d arrays of equal length")
         if nodes.size < 2:
-            raise BadDomain("need at least two nodes")
+            raise BadArgument("need at least two nodes")
         if nodes[0] != DOMAIN_LEFT or nodes[-1] != DOMAIN_RIGHT:
-            raise BadDomain(
+            raise BadArgument(
                 f"nodes must span [-1, 1], got [{nodes[0]}, {nodes[-1]}]"
             )
         dx = np.diff(nodes)
         if np.any(dx <= 0):
-            raise BadDomain("nodes must be strictly increasing")
+            raise BadArgument("nodes must be strictly increasing")
         dv = np.diff(values)
         if np.any(dv < 0):
-            raise NonMonotoneInput("values must be nondecreasing")
+            raise BadArgument("values must be nondecreasing")
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(dv / dx)):
-                raise BadDomain("slope between adjacent nodes is not finite")
+                raise BadArgument("slope between adjacent nodes is not finite")
         if values[0] < DOMAIN_LEFT or values[-1] > DOMAIN_RIGHT:
-            raise NonMonotoneInput("values must lie within [-1, 1]")
+            raise BadArgument("values must lie within [-1, 1]")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -135,13 +136,13 @@ def evaluate(f: MonotoneFunction, t):
 
     Raises
     ------
-    OutOfDomain
+    BadArgument
         If any evaluation point lies outside [-1, 1] or is NaN.
     """
     arr = np.asarray(t, dtype=float)
     # comparisons with NaN are false, so a NaN fails both
     if not (np.all(arr >= DOMAIN_LEFT) and np.all(arr <= DOMAIN_RIGHT)):
-        raise OutOfDomain(f"evaluation point outside [-1, 1]: {t!r}")
+        raise BadArgument(f"evaluation point outside [-1, 1]: {t!r}")
     out = np.interp(arr, f.nodes, f.values)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
@@ -164,14 +165,14 @@ def invert(f: MonotoneFunction) -> MonotoneFunction:
 
     Raises
     ------
-    NotInvertible
+    BadArgument
         If `f` has a plateau at grid resolution or does not attain -1
         and 1 at the endpoints (so the inverse would not span [-1, 1]).
     """
     if not f.is_strictly_increasing():
-        raise NotInvertible("plateau detected: equal consecutive node values")
+        raise BadArgument("plateau detected: equal consecutive node values")
     if f.values[0] != DOMAIN_LEFT or f.values[-1] != DOMAIN_RIGHT:
-        raise NotInvertible("range must be all of [-1, 1] to invert")
+        raise BadArgument("range must be all of [-1, 1] to invert")
     return MonotoneFunction(f.values, f.nodes)
 
 
@@ -221,7 +222,7 @@ def from_csv(text: str) -> MonotoneFunction:
 
     Raises
     ------
-    BadDomain
+    BadArgument
         If the header is missing or a row is not exactly two numbers; the
         message names the first such line.
     """
@@ -245,7 +246,7 @@ def _parse_csv_body(text: str) -> np.ndarray:
     of the whole text is made; only a slice that fails is read again line
     by line, to name its bad line."""
     if not text.startswith(CSV_HEADER + "\n"):
-        raise BadDomain(f"expected header {CSV_HEADER!r}")
+        raise BadArgument(f"expected header {CSV_HEADER!r}")
     start = len(CSV_HEADER) + 1
     parts = []
     while start < len(text):
@@ -258,8 +259,8 @@ def _parse_csv_body(text: str) -> np.ndarray:
             bad = next(i for i, line in enumerate(lines)
                        if _parse_csv_slice(line) is None)
             number = text.count("\n", 0, start) + 1 + bad
-            raise BadDomain(f"line {number}: expected two numbers "
-                            f"'t,value', got {lines[bad]!r}")
+            raise BadArgument(f"line {number}: expected two numbers "
+                              f"'t,value', got {lines[bad]!r}")
         parts.append(flat)
         start = end
     return np.concatenate(parts) if parts else np.empty(0)

@@ -11,8 +11,8 @@ from conftest import EXACT_BITS, exact_maps
 
 from pconfig import analysis
 from pconfig import (
+    BadArgument,
     MonotoneFunction,
-    ScaleBelowGrid,
     build_family,
     conjugate,
     difference_quotients,
@@ -47,16 +47,18 @@ def test_linear_exponent_is_one():
 
 
 def test_probe_rejects_unresolved_scales():
-    with pytest.raises(ScaleBelowGrid):
+    # the node gap 2^-7 resolves scales down to 2^-6
+    with pytest.raises(BadArgument,
+                       match=r"^scale 2\^-7 = .* below grid resolution"):
         difference_quotients(identity(257), 1.0, k_min=4, k_max=8)
 
 
 def test_probe_validates_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t0 must be -1 or 1, got 0.5"):
         difference_quotients(identity(257), 0.5, 2, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_min < k_max .*, got 5:4"):
         difference_quotients(identity(257), 1.0, 5, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_min < k_max .*, got 3:3"):
         # one scale leaves nothing to fit the exponent to
         difference_quotients(identity(4097), 1.0, 3, 3)
 
@@ -136,11 +138,11 @@ def test_oracle_enclosure_below_first_orbit_step(quad_m02):
 
 def test_oracle_enclosure_needs_two_scales(quad02):
     # a single scale has no ratio to enclose
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_min < k_max .*, got 8:8"):
         oracle_quotient_enclosure(quad02, 1.0, k_min=8, k_max=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k_min < k_max .*, got 9:8"):
         oracle_quotient_enclosure(quad02, 1.0, k_min=9, k_max=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 < k_min .*, got 0:8"):
         # scale 2^0 is the whole interval: no scale is finer than 1/2
         oracle_quotient_enclosure(quad02, 1.0, k_min=0, k_max=8)
 
@@ -351,9 +353,9 @@ def test_experiment_dyadic_points_exact(n, k, grid, rows):
 
 
 def test_experiment_rejects_equal_cells():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need cells n != k, .* n=2, k=2"):
         nonregular_experiment(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="both >= 1, got n=0, k=1"):
         nonregular_experiment(0, 1)
 
 

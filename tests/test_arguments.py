@@ -1,18 +1,28 @@
-"""Argument refusals: each is one type, raised by the library."""
+"""Refusals: every input the library cannot accept is one type, raised
+by the library."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pconfig import (
     BadArgument,
+    MonotoneFunction,
     PConfigError,
+    build_family,
     build_orbit_grid,
     conjugate,
     conjugate_to_standard,
+    contraction_step,
     difference_quotients,
+    dyadic_fixed_point_check,
+    evaluate,
     fe_residual,
+    from_csv,
     identity,
+    invert,
     nonregular_experiment,
     oracle_quotient_enclosure,
     orbit_points,
@@ -25,6 +35,9 @@ from pconfig.families import MAX_GRID
 
 QUAD = quadratic_pair(0.2)
 H = identity(4097)
+# the standard maps with a first derivative that vanishes everywhere
+FLAT = dataclasses.replace(
+    standard_pair(), d_delta1=lambda t: np.zeros_like(t, dtype=float))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -53,6 +66,50 @@ H = identity(4097)
     (lambda: orbit_points(QUAD, 2, bases=(1.0, 0.5)), "bases"),
     (lambda: nonregular_experiment(2, 2), "n != k"),
     (lambda: nonregular_experiment(0, 1), "both >= 1"),
+    # integer arguments refuse floats and bools before any work
+    (lambda: validate(QUAD, grid=4097.0), "grid must be an integer"),
+    (lambda: validate(QUAD, grid=True), "grid must be an integer"),
+    (lambda: fe_residual(H, QUAD, grid=1000.5), "grid must be an integer"),
+    (lambda: solve_nonlinear(QUAD, grid=2 ** 20 + 1.0),
+     "grid must be an integer"),
+    (lambda: conjugate_to_standard(QUAD, grid=4097.0),
+     "grid must be an integer"),
+    (lambda: nonregular_experiment(2, 3, grid=257.0),
+     "grid must be an integer"),
+    (lambda: difference_quotients(H, 1.0, 4.5, 8), "k_min must be an integer"),
+    (lambda: difference_quotients(H, 1.0, True, 4),
+     "k_min must be an integer"),
+    (lambda: difference_quotients(H, 1.0, 4, 8.0), "k_max must be an integer"),
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=3.5),
+     "m_max must be an integer"),
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=True),
+     "m_max must be an integer"),
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=0), "m_max must be >= 1"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 6.5, 13),
+     "k_min must be an integer"),
+    (lambda: oracle_quotient_enclosure(QUAD, depth=3.0),
+     "depth must be an integer"),
+    (lambda: oracle_quotient_enclosure(QUAD, depth=False),
+     "depth must be an integer"),
+    (lambda: build_orbit_grid(QUAD, 2.0), "orbit depth must be an integer"),
+    (lambda: orbit_points(QUAD, 2.0), "orbit depth must be an integer"),
+    # a depth past the solver's at MAX_GRID would walk 2^25 points or more
+    (lambda: build_orbit_grid(QUAD, 24), "orbit depth must be >= 0 and <= 23"),
+    (lambda: orbit_points(QUAD, 24), "orbit depth must be >= 0 and <= 23"),
+    (lambda: build_orbit_grid(QUAD, 40), "orbit depth must be >= 0 and <= 23"),
+    # the refusals that had classes of their own
+    (lambda: invert(MonotoneFunction([-1, 0.2, 0.4, 1], [-1, 0, 0, 1])),
+     "plateau detected"),
+    (lambda: evaluate(H, 1.5), r"evaluation point outside \[-1, 1\]"),
+    (lambda: contraction_step(MonotoneFunction([-1, 0, 1], [-1, 0.1, 1]),
+                              QUAD), "iterate must fix -1, 0 and 1"),
+    (lambda: difference_quotients(identity(257), 1.0, 4, 8),
+     "below grid resolution"),
+    (lambda: conjugate_to_standard(FLAT), "delta1 is flat on an interval"),
+    (lambda: build_family({"family": "cubic"}), "unknown family 'cubic'"),
+    (lambda: MonotoneFunction([-1, 0, 1], [-1, 0.5, 0.2]),
+     "values must be nondecreasing"),
+    (lambda: from_csv("t,value\n-1,-1\n0;0\n1,1\n"), "line 3: "),
 ], ids=["validate", "validate-ceiling", "fe-residual",
         "solve-nonlinear", "conjugate-to-standard", "conjugate",
         "probe-t0", "probe-one-scale", "probe-k0", "probe-float-ceiling",
@@ -60,12 +117,34 @@ H = identity(4097)
         "enclosure-float-ceiling", "enclosure-ceiling", "enclosure-huge-k",
         "enclosure-depth",
         "orbit-grid-depth", "orbit-points-depth", "orbit-points-bases",
-        "equal-cells", "cell-zero"])
+        "equal-cells", "cell-zero",
+        "validate-float", "validate-bool", "fe-residual-float",
+        "solve-nonlinear-float", "conjugate-to-standard-float",
+        "experiment-float", "probe-float-k-min", "probe-bool-k-min",
+        "probe-float-k-max", "dyadic-float", "dyadic-bool", "dyadic-zero",
+        "enclosure-float-k-min", "enclosure-float-depth",
+        "enclosure-bool-depth", "orbit-grid-float", "orbit-points-float",
+        "orbit-grid-ceiling", "orbit-points-ceiling", "orbit-grid-huge",
+        "plateau", "outside-domain", "unpinned", "scale-below-grid",
+        "flat-branch", "bad-descriptor", "decreasing-samples",
+        "bad-csv-line"])
 def test_each_refusal_is_a_bad_argument(call, message, address_space_cap):
     with pytest.raises(BadArgument, match=message) as info:
         call()
     assert isinstance(info.value, PConfigError)
     assert isinstance(info.value, ValueError)
+
+
+def test_numpy_integers_are_integers():
+    grid, two, four = np.int64(257), np.int64(2), np.int64(4)
+    assert validate(QUAD, grid=grid).grid == 257
+    assert conjugate_to_standard(QUAD, grid=grid)[1].grid == 257
+    assert difference_quotients(H, 1.0, two, four).k_values == (2, 3, 4)
+    assert oracle_quotient_enclosure(QUAD, 1.0, two, four,
+                                     depth=four).k_values == (2, 3, 4)
+    assert len(dyadic_fixed_point_check(H, QUAD, m_max=four).m_values) == 4
+    assert build_orbit_grid(QUAD, two).size == 9
+    assert len(orbit_points(QUAD, two, bases=(1.0,))) == 7
 
 
 @pytest.mark.parametrize("pair", [QUAD, quadratic_pair(-0.2), standard_pair()],

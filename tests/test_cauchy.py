@@ -5,11 +5,9 @@ import pytest
 
 from pconfig import cauchy
 from pconfig import (
-    AnchorsNotFixed,
     BadArgument,
     InvalidPair,
     MonotoneFunction,
-    NotInvertible,
     build_family,
     evaluate,
     fe_residual,
@@ -193,11 +191,12 @@ def test_induced_by_solution_is_standard(quad02, quad02_solved, std):
 
 def test_induced_rejects_plateau(quad02):
     f = MonotoneFunction([-1, -0.5, 0, 1], [-1, 0.0, 0.0, 1])
-    with pytest.raises(NotInvertible):
+    with pytest.raises(BadArgument, match="plateau detected"):
         induced_system(f, quad02)
 
 
 def test_induced_rejects_unanchored(quad02):
     f = MonotoneFunction([-1, 0, 1], [-1, 0.1, 1])
-    with pytest.raises(AnchorsNotFixed):
+    with pytest.raises(BadArgument,
+                       match="solution must fix -1, 0 and 1 exactly"):
         induced_system(f, quad02)

@@ -12,9 +12,8 @@ from conftest import (exact_orbit, iterate_contraction, reference_read_off,
 from hypothesis import given, settings, strategies as st
 
 from pconfig import (
-    AnchorsNotFixed,
+    BadArgument,
     BranchInverse,
-    BranchNotInvertible,
     MapPair,
     MonotoneFunction,
     build_family,
@@ -73,10 +72,10 @@ def test_step_example_value_quadratic():
 
 def test_step_requires_anchors():
     g = MonotoneFunction([-1, 0, 1], [-1, 0.1, 1])
-    with pytest.raises(AnchorsNotFixed):
+    with pytest.raises(BadArgument, match="iterate must fix -1, 0 and 1"):
         contraction_step(g, standard_pair())
     shifted = MonotoneFunction([-1, 0.5, 1], [-1, 0.0, 1])  # 0 not a node
-    with pytest.raises(AnchorsNotFixed):
+    with pytest.raises(BadArgument, match="iterate must fix -1, 0 and 1"):
         contraction_step(shifted, standard_pair())
 
 
@@ -160,9 +159,9 @@ def test_step_rejects_interval_flat_branch():
         delta1=d1, delta2=lambda t: np.asarray(t, dtype=float) - d1(t),
         d_delta1=d1p, d_delta2=lambda t: 1.0 - d1p(t),
     )
-    with pytest.raises(BranchNotInvertible):
+    with pytest.raises(BadArgument, match="delta1 is flat on an interval"):
         contraction_step(identity(257), flat)
-    with pytest.raises(BranchNotInvertible):
+    with pytest.raises(BadArgument, match="delta1 is flat on an interval"):
         conjugate_to_standard(flat)
 
 
@@ -514,7 +513,7 @@ def test_uniqueness_across_initial_guesses(quad02):
 
 
 def test_solver_rejects_bad_grid(quad02):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid must be >= 257 .*, got 100"):
         conjugate_to_standard(quad02, grid=100)
 
 
@@ -662,7 +661,7 @@ def test_solver_names_a_decreasing_branch(monkeypatch):
     walked = []
     monkeypatch.setattr(conjugacy, "_labelled_orbit",
                         lambda pair, depth: walked.append(pair))
-    with pytest.raises(BranchNotInvertible,
+    with pytest.raises(BadArgument,
                        match="delta1 is decreasing somewhere") as raised:
         conjugate_to_standard(quadratic_pair(0.3))
     assert str(raised.value) == "delta1 is decreasing somewhere"

@@ -8,8 +8,7 @@ import pytest
 from conftest import flat_reference
 
 from pconfig import (
-    BadSpec,
-    BranchNotInvertible,
+    BadArgument,
     MapPair,
     build_family,
     flat_interval,
@@ -74,7 +73,7 @@ def test_perturbed_flat_needs_a_float_strictly_inside_the_cell():
     (lam,) = p.flat_points
     assert lo < lam < hi
     assert float(p.d_delta1(lam)) == 0.0
-    with pytest.raises(BadSpec, match="n must be at most 51, got 52"):
+    with pytest.raises(BadArgument, match="n must be at most 51, got 52"):
         perturbed_flat_pair(52)
 
 
@@ -316,7 +315,7 @@ def test_flat_runs_guiding_sets_and_invertibility():
     # three grid points: still a singleton, but flat on an interval
     three = _flat_on(0.5, 0.5 + 2 * step)
     assert validate(three).guiding_set_1.singleton_flags == (True,)
-    with pytest.raises(BranchNotInvertible, match="delta1 is flat"):
+    with pytest.raises(BadArgument, match="delta1 is flat"):
         check_branches_invertible(three)
     # four grid points: an interval
     four = _flat_on(0.5, 0.5 + 3 * step)
@@ -327,12 +326,12 @@ def test_flat_runs_guiding_sets_and_invertibility():
 
 
 def test_decreasing_branch_is_not_invertible():
-    with pytest.raises(BranchNotInvertible,
+    with pytest.raises(BadArgument,
                        match="delta1 is decreasing somewhere"):
         check_branches_invertible(quadratic_pair(0.3))
     only_2 = _with_derivatives(lambda t: np.full_like(t, 0.5),
                                lambda t: 0.5 - np.asarray(t))
-    with pytest.raises(BranchNotInvertible,
+    with pytest.raises(BadArgument,
                        match="delta2 is decreasing somewhere"):
         check_branches_invertible(only_2)
 
@@ -374,7 +373,7 @@ def test_quasi_mode_skips_additivity():
 
 
 def test_validate_rejects_tiny_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid must be >= 257 .*, got 128"):
         validate(standard_pair(), grid=128)
 
 
@@ -456,20 +455,23 @@ def test_build_family_from_json_string():
 
 def test_build_family_json_integer_beyond_digit_limit():
     # json.loads refuses integers over 4300 digits with a bare ValueError
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument,
+                       match="descriptor is not valid JSON: .*4300 digits"):
         build_family('{"family": "quadratic", "c": 1%s}' % ("0" * 5000))
 
 
 def test_build_family_bad_specs():
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument, match="^unknown family 'cubic'$"):
         build_family({"family": "cubic"})
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument, match="^quadratic: .*missing .* 'c'"):
         build_family({"family": "quadratic"})
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument,
+                       match="^quadratic: .*unexpected keyword .* 'extra'"):
         build_family({"family": "quadratic", "c": 0.2, "extra": 1})
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument, match="^perturbed_flat: n must be an "
+                                          "integer >= 1, got 0$"):
         build_family({"family": "perturbed_flat", "n": 0})
-    with pytest.raises(BadSpec):
+    with pytest.raises(BadArgument, match="^descriptor is not valid JSON"):
         build_family("not json {")
 
 
@@ -496,7 +498,7 @@ def test_build_family_bad_specs():
     ('{"family": "polynomial", "delta1": [0.5, 0.5, NaN]}', "delta1"),
 ])
 def test_build_family_bad_spec_names_family_and_key(spec, key):
-    with pytest.raises(BadSpec) as exc:
+    with pytest.raises(BadArgument) as exc:
         build_family(spec)
     message = str(exc.value)
     family = (json.loads(spec) if isinstance(spec, str) else spec)["family"]
@@ -505,11 +507,11 @@ def test_build_family_bad_spec_names_family_and_key(spec, key):
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
 def test_quadratic_rejects_non_finite_c(c):
-    with pytest.raises(BadSpec, match="c must be finite"):
+    with pytest.raises(BadArgument, match="c must be finite"):
         quadratic_pair(c)
 
 
 def test_quadratic_refuses_an_integer_beyond_float():
     # called directly, not only through build_family
-    with pytest.raises(BadSpec, match="c holds an integer too large"):
+    with pytest.raises(BadArgument, match="c holds an integer too large"):
         quadratic_pair(10 ** 400)
