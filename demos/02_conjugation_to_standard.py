@@ -17,7 +17,7 @@ from pconfig import (
     contraction_step,
     conjugate_to_standard,
     evaluate,
-    orbit_points,
+    labelled_orbit,
     quadratic_pair,
     to_csv,
 )
@@ -33,14 +33,16 @@ for a in (-1.0, 0.0, 1.0):
 print()
 
 # Pushing a branch word through the pair gives the abscissa, pushing the
-# same word through the standard maps gives the value h must take there.
-print("spot checks on the words of length <= 2 from 0")
+# same word through the standard maps gives the value h must take there:
+# entry k of the depth-d labelled orbit is the point labelled -1 + k 2^-d.
+print("spot checks on the depth-2 labelled orbit")
 print("-" * 46)
-for x, y in orbit_points(pair, max_len=2, bases=(0.0,)):
-    print(f"  h({x:+.6f}) = {evaluate(h, x):+.10f}  (exact {y:+.10f})")
+x = labelled_orbit(pair, 2)
+for xk, yk in zip(x, np.linspace(-1.0, 1.0, x.size)):
+    print(f"  h({xk:+.6f}) = {evaluate(h, xk):+.10f}  (exact {yk:+.10f})")
 
-x, y = np.array(orbit_points(pair, max_len=11)).T
-worst = float(np.max(np.abs(evaluate(h, x) - y)))
+x = labelled_orbit(pair, 11)
+worst = float(np.max(np.abs(evaluate(h, x) - np.linspace(-1.0, 1.0, x.size))))
 print(f"worst error over {x.size} orbit points: {worst:.2e}")
 print()
 

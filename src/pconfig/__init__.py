@@ -33,6 +33,7 @@ from .conjugacy import (
     conjugate,
     conjugate_to_standard,
     contraction_step,
+    labelled_orbit,
     orbit_points,
 )
 from .errors import BadArgument, InvalidPair, PConfigError

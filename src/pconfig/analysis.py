@@ -196,8 +196,9 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     quotient-ratio bands: it measures the true log-periodic oscillation
     around 2^(1-beta) without trusting the fixed-point solver.  At least
     two scales are needed, so that there is a ratio to enclose, and a
-    depth of at least 0; at depth 0 each bracket is the whole half-interval
-    from t0 to 0, so the bounds hold but say little.  The labels are
+    depth of 0 .. 1074; at depth 0 each bracket is the whole half-interval
+    from t0 to 0, so the bounds hold but say little, and past 1074 the
+    label step 2^-depth is below the smallest double.  The labels are
     integers over 2^depth, exact at any depth; only the abscissae are
     floats, each within 2^-52 of the exact orbit point, so at a depth where
     that exceeds the spacing of the orbit points a bracket can be off by a
@@ -206,8 +207,8 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     """
     check_probe(t0, k_min, k_max)
     check_integer("depth", depth)
-    if depth < 0:
-        raise BadArgument(f"depth must be >= 0, got {depth}")
+    if not 0 <= depth <= 1074:
+        raise BadArgument(f"depth must be >= 0 and <= 1074, got {depth}")
     depth = int(depth)  # math.ldexp takes no numpy integer
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)

@@ -239,15 +239,20 @@ def _step(g: MonotoneFunction, pair: MapPair) -> np.ndarray:
 MAX_DEPTH = int(math.floor(math.log2(MAX_GRID - 1))) - 1
 
 
-def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
+def labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     """Orbit points indexed by their conjugation value.
 
-    Entry k is the point x with h(x) = -1 + k 2^-depth: the shortest
-    branch word w with w_standard(a) = -1 + k 2^-depth, applied to the
-    same anchor a through `pair`.  Level l + 1 follows from level l because
+    Entry k of the returned x is the point with h(x[k]) = -1 + k 2^-depth:
+    the shortest branch word w with w_standard(a) = -1 + k 2^-depth,
+    applied to the same anchor a through `pair`.  So x has 2^(depth+1) + 1
+    entries, and their labels are ``np.linspace(-1.0, 1.0, x.size)``,
+    exact dyadics.  Level l + 1 follows from level l because
     delta2 carries the labels of level l onto [-1, 0] and delta1 onto
     [0, 1]; the two halves share the label 0.  The anchors stay pinned, so
-    every word that reaches an anchor restarts from it exactly.
+    every word that reaches an anchor restarts from it exactly, and for
+    pairs that map the anchors to anchors exactly (every built-in family)
+    each entry is its word walked through the pair's maps one branch at a
+    time, bit for bit.  `depth` must be an integer in 0 .. MAX_DEPTH.
     """
     check_integer("orbit depth", depth)
     if not 0 <= depth <= MAX_DEPTH:
@@ -260,6 +265,28 @@ def _labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     return x
 
 
+def orbit_points(pair: MapPair, max_len: int) -> list[tuple[float, float]]:
+    """The samples of :func:`labelled_orbit` as (x, h(x)) tuples, one per
+    word of length <= max_len from each anchor: per anchor by length, words
+    of one length in the order of ``itertools.product((1, 2), repeat=length)``,
+    the first applied branch leading.  Kept only for the benchmark's check
+    of that order (``perfbench/test_reference.py``); use labelled_orbit.
+    """
+    x = labelled_orbit(pair, max_len)
+    y = np.linspace(-1.0, 1.0, x.size)
+    top = 2 ** max_len
+    out = []
+    for k in ([0], [top], [2 * top]):
+        level = [np.array(k)]
+        for _ in range(max_len):
+            # sigma1 halves the index and adds 2^max_len, sigma2 halves it
+            half = level[-1] // 2
+            level.append(np.stack((half + top, half), axis=1).ravel())
+        k = np.concatenate(level)
+        out.extend(zip(x[k].tolist(), y[k].tolist()))
+    return out
+
+
 def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     """All images of the anchors under branch words of length <= depth.
 
@@ -269,7 +296,7 @@ def build_orbit_grid(pair: MapPair, depth: int) -> np.ndarray:
     standard pair maps these nodes onto the uniform dyadic grid of step
     2^-depth.  `depth` must be an integer in 0 .. MAX_DEPTH.
     """
-    x = _labelled_orbit(pair, depth)
+    x = labelled_orbit(pair, depth)
     x.sort(kind="stable")
     nodes = x[_run_starts(x)]
     # pinned as their labels are, so the zero node is +0.0 whichever word
@@ -299,7 +326,7 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
     # For quadratic(0.2) at 2^20+1 nodes this peaks 25 MiB above the nodes
     # (the orbit, its order, its sorted copy and the run mask), below the
     # 40 MiB that the residual's step of T adds to the solve (tracemalloc)
-    x = _labelled_orbit(pair, depth)
+    x = labelled_orbit(pair, depth)
     word = np.argsort(x, kind="stable")
     first = _run_starts(x[word])
     del x
@@ -420,37 +447,3 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
     if target.family != "standard":
         h = funcspace.compose(funcspace.invert(_labelled_h(target, grid)), h)
     return h, log
-
-
-# --------------------------------------------------------------------------
-# orbit points by word
-# --------------------------------------------------------------------------
-
-def orbit_points(pair: MapPair, max_len: int,
-                 bases=ANCHORS) -> list[tuple[float, float]]:
-    """Exact samples (x, h(x)) of the conjugation to standard, one for
-    each word of length <= max_len over the bases.
-
-    x is the word applied to its base through `pair`; h(x) is the same
-    word applied through the standard maps, an exact dyadic label.  For
-    each base the words come by length; words of one length come in the
-    order of ``itertools.product((1, 2), repeat=length)``, the first
-    applied branch leading.  Each sample is gathered from the labelled
-    orbit by its label, so for pairs that map the anchors to anchors
-    exactly (every built-in family) x is the word walked through the
-    pair's maps one branch at a time, bit for bit.
-    """
-    if any(base not in ANCHORS for base in bases):
-        raise BadArgument(f"bases must be among -1, 0, 1, got {bases}")
-    x = _labelled_orbit(pair, max_len)
-    out = []
-    for base in bases:
-        y = np.array([float(base)])
-        labels = [y]
-        for _ in range(max_len):
-            y = np.stack(((y + 1.0) / 2.0, (y - 1.0) / 2.0), axis=1).ravel()
-            labels.append(y)
-        y = np.concatenate(labels)
-        k = ((y + 1.0) * 2.0 ** max_len).astype(np.int64)
-        out.extend(zip(x[k].tolist(), y.tolist()))
-    return out

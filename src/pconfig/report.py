@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 
 class Report:
     """Base of the frozen report dataclasses.
 
     ``to_dict`` lists the fields in declaration order; nested reports
-    become dicts and tuples become lists, so the result is plain JSON.
+    become dicts, tuples become lists and a NaN or infinite float
+    becomes None, so the result is plain JSON.
     """
 
     def to_dict(self) -> dict:
@@ -28,4 +30,6 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value

@@ -22,11 +22,11 @@ from pconfig import (
     conjugate_to_standard,
     contraction_step,
     flat_interval,
+    labelled_orbit,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
 )
-from pconfig.conjugacy import _labelled_orbit
 from pconfig.families import ANCHORS
 
 
@@ -137,7 +137,7 @@ def reference_read_off(pair, depth):
     label of the words that land on it, an anchor its own label, and the
     labels are sorted alongside the nodes.
     """
-    x = _labelled_orbit(pair, depth)
+    x = labelled_orbit(pair, depth)
     nodes = np.unique(x)
     labels = np.full(nodes.size, np.inf)
     np.minimum.at(labels, np.searchsorted(nodes, x),

@@ -60,14 +60,16 @@ def test_criterion_02_anchor_pinning(std, quad02, quad_m02, pf2, quad02_solved):
 
 
 def test_criterion_03_oracle_equivalence(quad02, quad02_solved, quad02_solved_16k):
-    pts = pc.orbit_points(quad02, max_len=10, bases=(-1.0, 1.0))
+    # the points of the words from -1 and 1 of length <= 10
+    x = pc.labelled_orbit(quad02, 9)
+    y = np.linspace(-1.0, 1.0, x.size)
     h12, _ = quad02_solved
     h14, _ = quad02_solved_16k
-    err12 = max(abs(pc.evaluate(h12, x) - y) for x, y in pts)
-    err14 = max(abs(pc.evaluate(h14, x) - y) for x, y in pts)
+    err12 = float(np.max(np.abs(pc.evaluate(h12, x) - y)))
+    err14 = float(np.max(np.abs(pc.evaluate(h14, x) - y)))
     ok = err12 <= 1e-3 and err14 <= 2.5e-4
     check(3, ok,
-          f"{len(pts)} orbit points: err {err12:.2e} <= 1e-3 at 2^12+1, "
+          f"{x.size} orbit points: err {err12:.2e} <= 1e-3 at 2^12+1, "
           f"{err14:.2e} <= 2.5e-4 at 2^14+1")
 
 

@@ -23,9 +23,9 @@ from pconfig import (
     from_csv,
     identity,
     invert,
+    labelled_orbit,
     nonregular_experiment,
     oracle_quotient_enclosure,
-    orbit_points,
     quadratic_pair,
     solve_nonlinear,
     standard_pair,
@@ -61,9 +61,16 @@ FLAT = dataclasses.replace(
     (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 10 ** 10),
      "k_max <= 1023"),
     (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2, depth=-1), "depth"),
+    # past 1074 the label step 2^-depth is below the smallest double
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2, depth=1075),
+     "depth must be >= 0 and <= 1074, got 1075"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2, depth=10 ** 5),
+     "depth must be >= 0 and <= 1074"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2,
+                                       depth=np.int64(1075)),
+     "depth must be >= 0 and <= 1074"),
     (lambda: build_orbit_grid(QUAD, -1), "orbit depth"),
-    (lambda: orbit_points(QUAD, -1), "orbit depth"),
-    (lambda: orbit_points(QUAD, 2, bases=(1.0, 0.5)), "bases"),
+    (lambda: labelled_orbit(QUAD, -1), "orbit depth"),
     (lambda: nonregular_experiment(2, 2), "n != k"),
     (lambda: nonregular_experiment(0, 1), "both >= 1"),
     # integer arguments refuse floats and bools before any work
@@ -92,10 +99,11 @@ FLAT = dataclasses.replace(
     (lambda: oracle_quotient_enclosure(QUAD, depth=False),
      "depth must be an integer"),
     (lambda: build_orbit_grid(QUAD, 2.0), "orbit depth must be an integer"),
-    (lambda: orbit_points(QUAD, 2.0), "orbit depth must be an integer"),
+    (lambda: labelled_orbit(QUAD, 2.0), "orbit depth must be an integer"),
     # a depth past the solver's at MAX_GRID would walk 2^25 points or more
     (lambda: build_orbit_grid(QUAD, 24), "orbit depth must be >= 0 and <= 23"),
-    (lambda: orbit_points(QUAD, 24), "orbit depth must be >= 0 and <= 23"),
+    (lambda: labelled_orbit(QUAD, 24),
+     "orbit depth must be >= 0 and <= 23"),
     (lambda: build_orbit_grid(QUAD, 40), "orbit depth must be >= 0 and <= 23"),
     # the refusals that had classes of their own
     (lambda: invert(MonotoneFunction([-1, 0.2, 0.4, 1], [-1, 0, 0, 1])),
@@ -115,16 +123,17 @@ FLAT = dataclasses.replace(
         "probe-t0", "probe-one-scale", "probe-k0", "probe-float-ceiling",
         "probe-ceiling", "probe-huge-k", "enclosure-t0", "enclosure-k-order",
         "enclosure-float-ceiling", "enclosure-ceiling", "enclosure-huge-k",
-        "enclosure-depth",
-        "orbit-grid-depth", "orbit-points-depth", "orbit-points-bases",
+        "enclosure-depth", "enclosure-depth-ceiling", "enclosure-huge-depth",
+        "enclosure-numpy-depth",
+        "orbit-grid-depth", "labelled-orbit-depth",
         "equal-cells", "cell-zero",
         "validate-float", "validate-bool", "fe-residual-float",
         "solve-nonlinear-float", "conjugate-to-standard-float",
         "experiment-float", "probe-float-k-min", "probe-bool-k-min",
         "probe-float-k-max", "dyadic-float", "dyadic-bool", "dyadic-zero",
         "enclosure-float-k-min", "enclosure-float-depth",
-        "enclosure-bool-depth", "orbit-grid-float", "orbit-points-float",
-        "orbit-grid-ceiling", "orbit-points-ceiling", "orbit-grid-huge",
+        "enclosure-bool-depth", "orbit-grid-float", "labelled-orbit-float",
+        "orbit-grid-ceiling", "labelled-orbit-ceiling", "orbit-grid-huge",
         "plateau", "outside-domain", "unpinned", "scale-below-grid",
         "flat-branch", "bad-descriptor", "decreasing-samples",
         "bad-csv-line"])
@@ -144,7 +153,7 @@ def test_numpy_integers_are_integers():
                                      depth=four).k_values == (2, 3, 4)
     assert len(dyadic_fixed_point_check(H, QUAD, m_max=four).m_values) == 4
     assert build_orbit_grid(QUAD, two).size == 9
-    assert len(orbit_points(QUAD, two, bases=(1.0,))) == 7
+    assert labelled_orbit(QUAD, two).size == 9
 
 
 @pytest.mark.parametrize("pair", [QUAD, quadratic_pair(-0.2), standard_pair()],

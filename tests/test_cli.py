@@ -338,6 +338,27 @@ def test_probe_existing_csv_and_scale_mismatch(tmp_path):
     assert code == 2
 
 
+def test_probe_json_is_strict_json_when_h_is_flat_at_t0(tmp_path, capsys):
+    # h = min(t, 0.99) is flat near 1, so the fine quotients are 0 and the
+    # fitted exponent NaN: probe.json holds null, stdout still reads nan
+    from pconfig import funcspace
+    t = np.linspace(-1.0, 1.0, 4097)
+    csv_path = tmp_path / "h.csv"
+    csv_path.write_text(funcspace.to_csv(
+        funcspace.MonotoneFunction(t, np.minimum(t, 0.99))))
+    out = tmp_path / "out"
+    assert run(["probe", "--h-csv", csv_path, "--out", out]) == 0
+    assert capsys.readouterr().out == "holder_exponent: nan\n"
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    probe = json.loads((out / "probe.json").read_text(),
+                       parse_constant=refuse)
+    assert probe["holder_exponent"] is None
+    assert probe["quotients"][-1] == 0.0
+
+
 @pytest.mark.parametrize("probe_args", [["--t0", "0.5"], ["--scales", "9:8"]],
                          ids=["t0", "scales"])
 def test_probe_config_refuses_before_solving(probe_args, quad_config,

@@ -1,4 +1,5 @@
-"""Contraction operator, conjugation solver, orbit grids and orbit points."""
+"""Contraction operator, conjugation solver, orbit grids and the labelled
+orbit."""
 
 import itertools
 import os
@@ -25,17 +26,17 @@ from pconfig import (
     evaluate,
     identity,
     invert,
-    orbit_points,
+    labelled_orbit,
     perturbed_flat_pair,
     quadratic_pair,
     standard_pair,
 )
 from pconfig.conjugacy import (
+    MAX_DEPTH,
     _BISECT_BLOCK,
     _BISECT_STEPS,
     _bisect_increasing,
     _labelled_h,
-    _labelled_orbit,
 )
 from pconfig.families import ANCHORS
 
@@ -417,16 +418,16 @@ def test_anchor_pinning_exact(quad02_solved, pf2):
 
 def test_oracle_consistency_all_short_words(quad02, quad02_solved):
     h, _ = quad02_solved
-    pts = orbit_points(quad02, max_len=10, bases=(-1.0, 0.0, 1.0))
-    err = max(abs(evaluate(h, x) - y) for x, y in pts)
+    x = labelled_orbit(quad02, 10)
+    err = np.max(np.abs(evaluate(h, x) - np.linspace(-1.0, 1.0, x.size)))
     assert err <= 1e-3
 
 
 def test_oracle_consistency_other_families():
     for pair in (quadratic_pair(-0.15), build_family(QUASI)):
         h, _ = conjugate_to_standard(pair, grid=4097)
-        pts = orbit_points(pair, max_len=8, bases=(-1.0, 0.0, 1.0))
-        err = max(abs(evaluate(h, x) - y) for x, y in pts)
+        x = labelled_orbit(pair, 8)
+        err = np.max(np.abs(evaluate(h, x) - np.linspace(-1.0, 1.0, x.size)))
         assert err <= 1e-3
 
 
@@ -440,13 +441,14 @@ def test_solver_values_are_the_orbit_labels(pair, grid):
     h, log = conjugate_to_standard(pair, grid=grid)
     assert h.values.tobytes() == np.linspace(-1.0, 1.0, grid).tobytes()
     depth = int(np.log2(grid - 1)) - 1
-    x, y = np.array(orbit_points(pair, max_len=depth)).T
-    assert np.array_equal(evaluate(h, x), y)
+    x = labelled_orbit(pair, depth)
+    assert np.array_equal(evaluate(h, x), np.linspace(-1.0, 1.0, x.size))
     assert log.iterations == 0
     # between the nodes h is monotone and the labels one step 2^-depth
     # apart, so at the next level's orbit points h is within a step
-    x, y = np.array(orbit_points(pair, max_len=depth + 1)).T
-    assert np.max(np.abs(evaluate(h, x) - y)) <= 2.0 ** -depth
+    x = labelled_orbit(pair, depth + 1)
+    assert np.max(np.abs(evaluate(h, x) - np.linspace(-1.0, 1.0, x.size))) \
+        <= 2.0 ** -depth
 
 
 def test_collided_words_keep_one_label_each():
@@ -455,7 +457,8 @@ def test_collided_words_keep_one_label_each():
     # lands on it, the anchors their own, sorted alongside the nodes
     pair = quadratic_pair(0.249)
     h, log = conjugate_to_standard(pair, grid=4097)
-    x, y = np.array(orbit_points(pair, max_len=11)).T
+    x = labelled_orbit(pair, 11)
+    y = np.linspace(-1.0, 1.0, x.size)
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
     first = np.r_[True, x[1:] != x[:-1]]
@@ -659,7 +662,7 @@ def test_solver_names_a_decreasing_branch(monkeypatch):
     # checked before the orbit grid, whose nodes would leave [-1, 1]
     from pconfig import conjugacy
     walked = []
-    monkeypatch.setattr(conjugacy, "_labelled_orbit",
+    monkeypatch.setattr(conjugacy, "labelled_orbit",
                         lambda pair, depth: walked.append(pair))
     with pytest.raises(BadArgument,
                        match="delta1 is decreasing somewhere") as raised:
@@ -687,29 +690,35 @@ def test_solver_checks_the_branches_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# orbit points
+# the labelled orbit
 # ---------------------------------------------------------------------------
 
 
-def test_orbit_points_count(quad02):
-    pts = orbit_points(quad02, max_len=4, bases=(-1.0, 1.0))
-    assert len(pts) == 2 * (2 ** 5 - 1)
+def test_labelled_orbit_count(quad02):
+    assert labelled_orbit(quad02, 4).size == 2 ** 5 + 1
+
+
+def test_labelled_orbit_at_the_depth_ceiling(quad02, address_space_cap):
+    # 128 MiB of floats, the solver's orbit at MAX_GRID; a list of one
+    # (x, h(x)) tuple per word peaked at 3.0 GB at this depth
+    x = labelled_orbit(quad02, MAX_DEPTH)
+    assert x.dtype == np.float64 and x.size == 2 ** 24 + 1
 
 
 def test_negative_orbit_depth_is_refused(quad02):
     # depth -1 used to pair x = -1 with the label 0
     with pytest.raises(ValueError, match="orbit depth"):
-        orbit_points(quad02, -1)
+        labelled_orbit(quad02, -1)
     with pytest.raises(ValueError, match="orbit depth"):
         build_orbit_grid(quad02, -1)
 
 
 @pytest.mark.parametrize("pair", [quadratic_pair(0.2), perturbed_flat_pair(2)],
                          ids=repr)
-def test_orbit_points_are_the_oracle_word_by_word(pair):
-    # orbit_points and build_orbit_grid read the labelled grid; walking
-    # each word through the pair's own maps one branch at a time must
-    # give the same floats
+def test_labelled_orbit_is_the_oracle_word_by_word(pair):
+    # build_orbit_grid reads the labelled orbit; walking each word through
+    # the pair's own maps one branch at a time must give the entry at the
+    # word's label, bit for bit, and every entry is some word's
     walked = []
     for a in (-1.0, 0.0, 1.0):
         for n in range(8):
@@ -720,8 +729,12 @@ def test_orbit_points_are_the_oracle_word_by_word(pair):
                     y = (y + 1.0) / 2.0 if b == 1 else (y - 1.0) / 2.0
                 walked.append((x, y))
     walked = np.array(walked)
-    gathered = np.array(orbit_points(pair, max_len=7))
-    assert gathered.tobytes() == walked.tobytes()
+    x = labelled_orbit(pair, 7)
+    labels = np.linspace(-1.0, 1.0, x.size)
+    k = np.searchsorted(labels, walked[:, 1])
+    assert labels[k].tobytes() == walked[:, 1].tobytes()
+    assert x[k].tobytes() == walked[:, 0].tobytes()
+    assert np.array_equal(np.unique(k), np.arange(x.size))
     grid = build_orbit_grid(pair, 7)
     assert grid.tobytes() == np.unique(walked[:, 0]).tobytes()
 
@@ -730,14 +743,12 @@ def test_orbit_points_are_the_oracle_word_by_word(pair):
     quadratic_pair(0.2), quadratic_pair(-0.2), build_family(QUARTIC),
     build_family(QUASI), standard_pair(),
 ], ids=repr)
-def test_orbit_points_are_the_exact_orbit_within_float_error(pair):
+def test_labelled_orbit_is_the_exact_orbit_within_float_error(pair):
     # each float orbit point is within 2^-52 of the correctly rounded
     # point of its word (measured at most 1.1e-16, 2.2e-16, 1.4e-16,
     # 1.1e-16 and 0)
-    depth = 10
-    x, y = np.array(orbit_points(pair, max_len=depth)).T
-    k = ((y + 1.0) * 2.0 ** depth).astype(np.int64)
-    assert np.max(np.abs(x - exact_orbit(pair, depth)[k])) <= 2.0 ** -52
+    x = labelled_orbit(pair, 10)
+    assert np.max(np.abs(x - exact_orbit(pair, 10))) <= 2.0 ** -52
 
 
 def test_float_error_adds_collisions_and_order_inversions():
@@ -746,7 +757,7 @@ def test_float_error_adds_collisions_and_order_inversions():
     # order; the float walk loses 64 words and puts 6 points out of label
     # order, so 8 collisions and every inversion are float error
     pair = quadratic_pair(0.249)
-    for x, lost, inversions in ((_labelled_orbit(pair, 11), 64, 6),
+    for x, lost, inversions in ((labelled_orbit(pair, 11), 64, 6),
                                 (exact_orbit(pair, 11), 56, 0)):
         assert x.size - np.unique(x).size == lost
         assert np.count_nonzero(np.diff(x) < 0) == inversions

@@ -5,6 +5,8 @@ the SHA-256 of every file it writes must match ``golden/manifest.json``.
 No output names the ``--out`` directory, so the run directory does not
 matter.  Float output depends on the numpy and Python builds, so the
 manifest records the versions it was made with and a mismatch names them.
+The manifest also records the SHA-256 of each demo's stdout, which
+``test_demos.py`` checks.
 
 Regenerate the manifest, only when an output is meant to change, with
 
@@ -82,7 +84,9 @@ def test_output_matches_the_manifest(name, results):
 
 
 if __name__ == "__main__":
+    from test_demos import DEMOS, demo_digest
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = {**versions(), "commands": run_commands(Path(tmp))}
+        manifest = {**versions(), "commands": run_commands(Path(tmp)),
+                    "demos": {d.name: demo_digest(d) for d in DEMOS}}
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
