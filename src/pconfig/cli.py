@@ -50,7 +50,9 @@ def _atomic_write(path: Path, text: str):
         out.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=out, prefix=path.name, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            # no newline translation: h.csv's rows end in \n on every
+            # platform, the only line end from_csv reads
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

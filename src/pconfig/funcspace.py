@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -181,9 +182,8 @@ def invert(f: MonotoneFunction) -> MonotoneFunction:
 CSV_HEADER = "t,value"
 
 
-#: Rows formatted by one ``%`` operation.  One operation over all rows
-#: would build a format string and a tuple of Python floats larger than
-#: the text itself; blocks keep both small.
+#: Rows formatted by one pass of array operations.  A pass holds a few
+#: hundred bytes of scratch arrays per number; blocks keep them small.
 _CSV_WRITE_ROWS = 8192
 
 #: Characters of text parsed in one slice, rounded up to a whole line: the
@@ -196,21 +196,176 @@ def to_csv(f: MonotoneFunction) -> str:
     """CSV serialization: header ``t,value``, one row per node, 17
     significant digits, rows in node order.
 
-    Rows are formatted in blocks of ``_CSV_WRITE_ROWS``, each by one
-    ``%.17g`` format over the block's Python floats, which writes the
-    digits an f-string ``{:.17g}`` writes row by row.
+    The text is what ``%.17g`` writes, as an f-string ``{:.17g}`` does
+    row by row.  Blocks of ``_CSV_WRITE_ROWS`` rows get their digits by
+    array operations (:func:`_digits`); a number whose digits those
+    cannot settle is formatted by ``%`` on its own.
     """
     parts = [CSV_HEADER + "\n"]
     for start in range(0, f.nodes.size, _CSV_WRITE_ROWS):
         stop = start + _CSV_WRITE_ROWS
-        parts.append(_csv_rows(f.nodes[start:stop], f.values[start:stop]))
+        parts.append(_csv_block(f.nodes[start:stop], f.values[start:stop]))
     return "".join(parts)
 
 
-def _csv_rows(nodes: np.ndarray, values: np.ndarray) -> str:
-    """One CSV row per node, by one ``%.17g`` format over Python floats."""
-    numbers = np.column_stack((nodes, values)).ravel().tolist()
-    return "%.17g,%.17g\n" * len(nodes) % tuple(numbers)
+def _csv_block(nodes: np.ndarray, values: np.ndarray) -> str:
+    """The rows of one block.  Each number gets 29 character slots, one
+    row of a (slot, number) array; a slot holding 0 is padding, which one
+    boolean mask drops when the rows are joined:
+
+    ====  ==============================  ==========================
+    slot  0.000ddd (exponent -4 to -1)    d.ddde-XX (exponent below)
+    ====  ==============================  ==========================
+    0     ``-`` if negative               ``-`` if negative
+    1     ``0``                           first digit
+    2     ``.``                           ``.`` if a digit follows
+    3-5   a zero per decade below -1
+    6     first digit
+    7-22  digits 2-17, without trailing zeros
+    23-27                                 ``e-`` and 2 or 3 digits
+    28    ``,`` after t, newline after the value
+    ====  ==============================  ==========================
+    """
+    x = np.column_stack((nodes, values)).ravel()
+    digits, exponent, settled = _digits(np.abs(x))
+    digit_chars = _digit_chars(digits)
+    fixed = exponent >= -4
+    scientific = ~fixed
+    decade = (-exponent).astype(np.uint16)
+    text = np.zeros((29, x.size), np.uint8)
+    text[0] = (x < 0) * np.uint8(ord("-"))
+    text[1] = np.where(fixed, np.uint8(ord("0")), digit_chars[0])
+    text[2] = (fixed | (digit_chars[1] != 0)) * np.uint8(ord("."))
+    leading_zeros = exponent <= np.array([[-4], [-3], [-2]])
+    text[3:6] = (leading_zeros & fixed) * np.uint8(ord("0"))
+    text[6] = fixed * digit_chars[0]
+    text[7:23] = digit_chars[1:]
+    text[23] = scientific * np.uint8(ord("e"))
+    text[24] = scientific * np.uint8(ord("-"))
+    text[25] = (scientific & (decade >= 100)) * (ord("0") + decade // 100)
+    text[26] = scientific * (ord("0") + decade // 10 % 10)
+    text[27] = scientific * (ord("0") + decade % 10)
+    text[28, 0::2] = ord(",")
+    text[28, 1::2] = ord("\n")
+    for i in np.flatnonzero(~settled).tolist():
+        number = np.frombuffer(b"%.17g" % x[i], np.uint8)
+        text[:-1, i] = 0
+        text[:number.size, i] = number
+    rows = np.ascontiguousarray(text.T)
+    return rows[rows != 0].tobytes().decode("ascii")
+
+
+def _digit_chars(digits: np.ndarray) -> np.ndarray:
+    """The 17 digits of each integer as characters, one row per digit
+    from the left, with 0 for a trailing zero: %g strips those.  They
+    come out right to left from two uint32 halves of 8 and 9 digits."""
+    halves = np.empty((2, digits.size), np.int64)
+    np.floor_divide(digits, 10 ** 9, out=halves[0])
+    np.subtract(digits, halves[0] * 10 ** 9, out=halves[1])
+    # the upper half's zeros trail only if the whole lower half is zero
+    trailing = np.empty((2, digits.size), bool)
+    trailing[0] = halves[1] == 0
+    trailing[1] = True
+    q = halves.astype(np.uint32)
+    chars = np.empty((2, 9, digits.size), np.uint8)
+    for j in range(8, -1, -1):
+        quotient = q // np.uint32(10)
+        digit = (q - quotient * np.uint32(10)).astype(np.uint8)
+        trailing &= digit == 0
+        chars[:, j] = (digit + np.uint8(ord("0"))) * ~trailing
+        q = quotient
+    # the upper half has 8 digits: its 9th from the right is always 0
+    return chars.reshape(18, digits.size)[1:]
+
+
+#: How close to a whole number or a half the low part of an inexact
+#: product may come before ``%`` decides the rounding: far above the
+#: product's error bound, 1e-14.
+_TIE_MARGIN = 2.0 ** -20
+
+
+def _digits(magnitudes: np.ndarray):
+    """The ``%.17g`` digits of each magnitude as an integer D, 10^16 <= D
+    < 10^17, with the decimal exponent X of its first digit, and whether
+    both are settled; an unsettled number is left to ``%``.
+
+    D is y = |x| 10^(16 - X) rounded half to even, formed exactly enough
+    in double-double: y = p + r + err, p an integer (p >= 2^53), |err| <
+    1e-14 (see :func:`_scaled`).  Whether y lies in [10^16, 10^17) is
+    decided on (p, r), not on their rounded sum, and the guess of X by
+    ``log10`` is corrected by one decade where it fails, so X does not
+    depend on the last bit of ``log10``.  Where the power of ten is exact
+    (lo = 0, 10^22 and below), err is 0 and an exact half is a true tie.
+    Elsewhere a number whose r comes within ``_TIE_MARGIN`` of a whole
+    number or a half is unsettled: its rounding, or its decade, could
+    hinge on err.
+    """
+    # 0, 1, magnitudes from 1 up and from 1e-290 down are left to %: the
+    # table's powers of ten go up to 10^308
+    settled = (magnitudes > 1e-290) & (magnitudes < 1.0)
+    magnitudes = np.where(settled, magnitudes, 0.5)
+    exponent = np.floor(np.log10(magnitudes)).astype(np.int64)
+    p, r, exact = _scaled(magnitudes, 16 - exponent)
+    # signs of y - 10^17 and y - 10^16; each difference p - 10^k is exact
+    # near 10^k, and rounding keeps the sign of a sum
+    shift = ((p - 1e17) + r >= 0).astype(np.int64) - ((p - 1e16) + r < 0)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        exponent[moved] += shift[moved]
+        p[moved], r[moved], exact[moved] = _scaled(
+            magnitudes[moved], 16 - exponent[moved])
+        settled[moved] &= (((p[moved] - 1e16) + r[moved] >= 0)
+                           & ((p[moved] - 1e17) + r[moved] < 0))
+    # |frac(r) - 1/2| is near 1/2 next to a whole number, near 0 at a half
+    half = np.abs(r - np.floor(r) - 0.5)
+    settled &= exact | ((half > _TIE_MARGIN) & (half < 0.5 - _TIE_MARGIN))
+    # p is even, so p + round(r) is y rounded half to even
+    digits = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    carried = digits == 10 ** 17
+    digits[carried] = 10 ** 16
+    exponent += carried
+    settled &= exponent < 0
+    return digits, exponent, settled
+
+
+#: Veltkamp's splitter, 2^27 + 1: c - (c - a) with c = a (2^27 + 1) is `a`
+#: rounded to 26 bits, and the rest of `a` fits in 26 bits too.
+_SPLITTER = 134217729.0
+
+
+def _scaled(magnitudes: np.ndarray, scale: np.ndarray):
+    """y = |x| 10^s as p + r, and whether 10^s is a float (r exact).
+
+    With 10^s = hi + lo + t, hi = fl(10^s), lo = fl(10^s - hi), Dekker's
+    product gives p = fl(|x| hi) and its exact error e, and r = fl(e +
+    fl(|x| lo)).  For y < 10^17, |x lo| < 2^-53 y < 12 rounds by at most
+    2^-50, |e| <= ulp(p) / 2 <= 8 makes the sum round by at most 2^-49,
+    and |x t| < 2^-106 y < 2^-49: |y - p - r| < 5e-15.
+    """
+    hi, lo, hi_head, hi_tail = np.take(_powers_of_ten(), scale, axis=1)
+    p = magnitudes * hi
+    c = magnitudes * _SPLITTER
+    head = c - (c - magnitudes)
+    tail = magnitudes - head
+    e = (((head * hi_head - p) + head * hi_tail + tail * hi_head)
+         + tail * hi_tail)
+    return p, e + magnitudes * lo, lo == 0
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, lo, and hi split into 26-bit head and tail, of 10^s for s
+    = 0 .. 308, from Python's exact integers.  The split is taken on hi
+    scaled into [1/2, 1), since hi (2^27 + 1) overflows for s >= 300.
+    Built on first use, so importing the module stays cheap."""
+    hi = [float(10 ** s) for s in range(309)]
+    lo = [float(10 ** s - int(h)) for s, h in enumerate(hi)]
+    mantissa, power = np.frexp(hi)
+    c = mantissa * _SPLITTER
+    head = np.ldexp(c - (c - mantissa), power)
+    table = np.array([hi, lo, head, hi - head])
+    table.setflags(write=False)
+    return table
 
 
 def from_csv(text: str) -> MonotoneFunction:

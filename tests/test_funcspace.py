@@ -11,10 +11,13 @@ from pconfig import (
     BadArgument,
     MonotoneFunction,
     compose,
+    conjugate_to_standard,
     evaluate,
     from_csv,
     identity,
     invert,
+    quadratic_pair,
+    solve_nonlinear,
     to_csv,
 )
 from pconfig import funcspace
@@ -329,11 +332,26 @@ def _random_function(rows, seed=0):
                          np.concatenate(([-1.0], np.sort(inner ** 3), [1.0])))
 
 
+def _with_neighbours(numbers):
+    """Each number with the floats just below and just above it."""
+    numbers = np.asarray(numbers, dtype=float)
+    return np.concatenate((np.nextafter(numbers, -np.inf), numbers,
+                           np.nextafter(numbers, np.inf)))
+
+
 #: Floats whose shortest text needs all 17 digits, subnormals, both zeros
-#: and magnitudes near the ends of the float range.
+#: and magnitudes near the ends of the float range; the floats just below
+#: the powers of ten, whose first digit sits a decade lower; 1e-06 (a
+#: float just below 10^-6) and 1e-290 (the end of the digits' range) with
+#: their neighbours; 3 2^-24, an exact tie at the 17th digit where
+#: 10^23 is not a float, so the writer leaves it to %; and +-1, where the
+#: digits' range ends above.
 _HARD_FLOATS = [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, np.nextafter(1.0, 0.0),
                 5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0,
-                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+                1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                *(np.nextafter(float(f"1e-{k}"), 0.0) for k in range(1, 24)),
+                *_with_neighbours([1e-06, 1e-290]),
+                3 * 2.0 ** -24, 1.0, -1.0, np.nextafter(-1.0, 0.0)]
 
 
 @pytest.mark.parametrize("rows", [2, _CSV_WRITE_ROWS - 1, _CSV_WRITE_ROWS,
@@ -348,6 +366,76 @@ def test_to_csv_writes_the_row_by_row_bytes(rows):
     assert to_csv(f) == _to_csv_row_by_row(f)
     g = _random_function(rows, seed=rows)
     assert to_csv(g) == _to_csv_row_by_row(g)
+
+
+def _random_bit_patterns(count, seed):
+    """`count` floats of uniformly random bits with |x| <= 1: both signs
+    and every exponent from the subnormals up to 1."""
+    rng = np.random.default_rng(seed)
+    numbers = rng.integers(0, 2 ** 64, 3 * count, dtype=np.uint64,
+                           endpoint=False).view(float)
+    return numbers[np.abs(numbers) <= 1.0][:count]
+
+
+def _log_uniform(count, seed):
+    """`count` magnitudes spread evenly in log10 from 1e-320 to 1, with
+    random signs."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-320.0, 0.0, count)
+    return magnitudes * rng.choice([-1.0, 1.0], count)
+
+
+def _near_ties():
+    """Floats x = m 2^-(s + j) whose y = x 10^s, the 17 digits of x, lies
+    within 3 2^-j of a half, for j >= 48: closer to a tie at the 17th
+    digit than the error bound of the writer's double-double product.
+    m runs over the solutions of m 5^s = 2^(j - 1) + d (mod 2^j) below
+    2^53 that put y in [10^16, 10^17); each x comes with both signs."""
+    numbers = []
+    for s in range(21, 309):
+        for j in range(48, 54):
+            modulus = 1 << j
+            inverse = pow(5 ** s, -1, modulus)
+            first = -(-10 ** 16 * modulus // 5 ** s)
+            stop = min(10 ** 17 * modulus // 5 ** s, 1 << 53)
+            for d in (-3, -1, 1, 3):
+                m = (modulus // 2 + d) * inverse % modulus
+                m += max(0, -(-(first - m) // modulus)) * modulus
+                numbers += [k * 2.0 ** (-j - s)
+                            for k in range(m, stop, modulus)]
+    return np.concatenate((numbers, np.negative(numbers)))
+
+
+_WRITER_CASES = {
+    # every label -1 + k 2^-d for d <= 18; labels at d = 18 hold exact
+    # ties at the 17th digit, such as 0.999996185302734375
+    "labels": lambda: np.linspace(-1.0, 1.0, 2 ** 19 + 1),
+    "bit-patterns": lambda: _random_bit_patterns(2 * 10 ** 5, seed=1),
+    "log-uniform": lambda: _log_uniform(10 ** 5, seed=2),
+    "near-ties": _near_ties,
+    "powers": lambda: _with_neighbours(np.concatenate((
+        [2.0 ** -k for k in range(1075)],
+        [float(f"1e-{k}") for k in range(324)]))),
+}
+
+
+@pytest.mark.parametrize("case", _WRITER_CASES)
+def test_to_csv_writes_the_bytes_of_percent_format(case):
+    numbers = _WRITER_CASES[case]()
+    # to_csv reads only the two arrays, so any floats can stand in
+    f = SimpleNamespace(nodes=numbers, values=numbers[::-1])
+    assert to_csv(f) == _to_csv_row_by_row(f)
+
+
+@pytest.mark.parametrize("output", ["h", "solution"])
+def test_to_csv_writes_the_bytes_of_the_benchmark_outputs(output):
+    # the h.csv and solution.csv of perfbench's cli_roundtrip, at 2^18+1
+    pair = quadratic_pair(0.2)
+    if output == "h":
+        f, _ = conjugate_to_standard(pair, grid=2 ** 18 + 1)
+    else:
+        f = solve_nonlinear(pair, grid=2 ** 18 + 1).solution
+    assert to_csv(f) == _to_csv_row_by_row(f)
 
 
 def test_csv_round_trip_is_bit_exact_over_many_slices():
