@@ -38,9 +38,6 @@ print("where the flat point goes")
 print("-" * 56)
 print(f"  h(lambda) = {report.image_of_flat_point:.8f}")
 print(f"  stays inside J_{report.n}: {report.image_in_cell_n}")
-print(f"  omega lies in the interior of J_{report.k}: "
-      f"{report.flat_point_k_in_cell_k}")
-print(f"  the two cells share no interior: {report.cells_interior_disjoint}")
 print(f"  h strictly increasing at grid level: {report.homeomorphism_ok}")
 print()
 

@@ -180,7 +180,6 @@ class InducedSystemReport(Report):
     boundary_ok: bool
     tol: float
     grid: int
-    differentiability_claimed: bool = False
 
 
 #: How far the induced maps may miss additivity or the boundary pattern

@@ -10,8 +10,7 @@ where ``pullback`` inverts delta2 on [-1, 0] and delta1 on (0, 1], and
 ``sign`` is -1 on [-1, 0] and +1 on (0, 1].  T maps the space of
 nondecreasing functions fixing the anchors into itself and contracts
 sup-distance by the factor 1/2 (the factor comes from the division alone,
-so flat-point branches are iterated just as fast; only the a-posteriori
-homeomorphism check depends on regularity).  :func:`contraction_step`
+so flat-point branches are iterated just as fast).  :func:`contraction_step`
 applies T once.
 
 Grid choice
@@ -33,8 +32,7 @@ dyadic label of a word that reaches it.  :func:`conjugate_to_standard`
 reads h off the labelled orbit, exactly and without iterating.  Near the
 endpoints distinct words can collide at float resolution, or land out of
 label order; each node then keeps the label of one word that reaches it,
-and the labels are sorted alongside the nodes, so h still fixes the
-anchors and increases strictly.
+and the labels are sorted alongside the nodes (see :func:`_orbit_labels`).
 
 The log's ``residual`` is sup |Th - h| for one :func:`contraction_step`,
 a diagnostic that nothing gates on, so :func:`conjugate` reads the target's
@@ -318,6 +316,8 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
 
     Each node takes the smallest label of the words that land on it, an
     anchor its own label, and the labels are sorted alongside the nodes.
+    No two nodes share a word, so the labels are distinct and h fixes the
+    anchors and increases strictly for any pair; nothing checks it again.
     """
     # the orbit is in label order but for a few collisions, so a stable
     # sort is nearly a pass, and it keeps the words of a node in label
@@ -362,9 +362,7 @@ class ConvergenceLog(Report):
     ``residual`` is sup |Th - h| over the nodes for one application of T,
     reported but not a test of h (see the module notes);
     ``max_local_variation`` is the largest value increment between
-    adjacent nodes, the honest bound on what happens between samples;
-    ``strictly_increasing`` is the homeomorphism check at grid level,
-    true by construction for the sorted labels.
+    adjacent nodes, the honest bound on what happens between samples.
     ``iterations`` is always 0, since the solver does not iterate; the
     benchmark's tracer still reads it.
     """
@@ -372,7 +370,6 @@ class ConvergenceLog(Report):
     residual: float
     grid: int
     max_local_variation: float
-    strictly_increasing: bool = True
 
     iterations = 0
 
@@ -419,7 +416,6 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
         residual=float(np.max(np.abs(_step(h, pair) - h.values))),
         grid=int(h.grid_size),
         max_local_variation=h.max_local_variation,
-        strictly_increasing=h.is_strictly_increasing(),
     )
     return h, log
 

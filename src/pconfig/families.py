@@ -227,6 +227,8 @@ _PSI_PLATEAU = 0.5             # p
 
 
 def perturbed_flat_pair(n: int) -> MapPair:
+    """The pair whose delta1' vanishes at one point, strictly inside J_n;
+    refused for n > 51, where no float lies there."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise BadArgument(f"n must be an integer >= 1, got {n!r}")
     try:
@@ -326,7 +328,8 @@ def perturbed_flat_pair(n: int) -> MapPair:
 
 def flat_interval(n: int) -> tuple[float, float]:
     """J_n = [1 - 2^-n, 1 - 2^-(n+1)], the dyadic cell hosting the
-    perturbation of ``perturbed_flat(n)``."""
+    perturbation of ``perturbed_flat(n)``; two distinct cells meet at
+    most at an endpoint."""
     return (1.0 - 2.0 ** (-n), 1.0 - 2.0 ** (-(n + 1)))
 
 
@@ -441,12 +444,11 @@ def _runs(mask: np.ndarray) -> list[np.ndarray]:
 
 def _grid_with_anchors(grid: int) -> np.ndarray:
     """np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS) without its sort:
-    the uniform grid increases already, so only the anchors it lacks are
-    inserted, each at its place."""
+    the uniform grid increases already and starts and ends at -1 and 1
+    exactly, so only 0 is inserted, at its place, where the grid lacks it."""
     t = np.linspace(-1.0, 1.0, grid)
-    lacking = [a for a, i in zip(ANCHORS, np.searchsorted(t, ANCHORS))
-               if i == t.size or t[i] != a]
-    return np.insert(t, np.searchsorted(t, lacking), lacking) if lacking else t
+    mid = np.searchsorted(t, 0.0)
+    return t if t[mid] == 0.0 else np.insert(t, mid, 0.0)
 
 
 def check_branches_invertible(pair: MapPair):

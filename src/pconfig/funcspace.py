@@ -98,16 +98,13 @@ class MonotoneFunction:
     def fixes_anchors(self) -> bool:
         """True if the function maps -1, 0, 1 to themselves exactly.
 
-        0 must be a node for this to hold.
+        0 must be a node for this to hold; the nodes end at 1 > 0, so the
+        search for it always lands on a node.
         """
         if self.values[0] != -1.0 or self.values[-1] != 1.0:
             return False
         idx = np.searchsorted(self.nodes, 0.0)
-        return bool(
-            idx < self.nodes.size
-            and self.nodes[idx] == 0.0
-            and self.values[idx] == 0.0
-        )
+        return bool(self.nodes[idx] == 0.0 and self.values[idx] == 0.0)
 
     def __repr__(self):
         return f"MonotoneFunction({self.grid_size} nodes)"
@@ -369,11 +366,13 @@ def _powers_of_ten() -> np.ndarray:
 
 
 def from_csv(text: str) -> MonotoneFunction:
-    """Parse h.csv in the one form :func:`to_csv` writes: the header line
-    ``t,value``, then rows of two numbers ``<t>,<value>`` in the characters
-    ``%.17g`` writes, each ended by ``\\n`` (the last newline may be
-    missing).  Anything else is refused, blank lines, CR/LF line ends,
-    whitespace and spellings such as ``1_0`` or ``nan`` included.
+    """Parse h.csv: the header line ``t,value``, then rows of two numbers
+    ``<t>,<value>``, each ended by ``\\n`` (the last newline may be
+    missing).  A number is any spelling in the characters
+    ``0-9 . e E + -`` that numpy reads as a float, so ``+0.5``, ``.5``,
+    ``00.5``, ``0.50000``, ``1E-1`` and ``0.5e+0`` are read as well as the
+    form :func:`to_csv` writes.  Blank lines, CR/LF line ends, whitespace and
+    spellings such as ``1_0`` or ``nan`` are refused.
 
     Raises
     ------

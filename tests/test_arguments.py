@@ -115,6 +115,12 @@ FLAT = dataclasses.replace(
      "below grid resolution"),
     (lambda: conjugate_to_standard(FLAT), "delta1 is flat on an interval"),
     (lambda: build_family({"family": "cubic"}), "unknown family 'cubic'"),
+    (lambda: build_family("[1, 2]"), "descriptor must be a dict, got list"),
+    (lambda: build_family(3), "descriptor must be a dict, got int"),
+    (lambda: MonotoneFunction(np.zeros((2, 2)), np.zeros((2, 2))),
+     "1-d arrays of equal length"),
+    (lambda: MonotoneFunction([-1, 1], [-1, 0, 1]),
+     "1-d arrays of equal length"),
     (lambda: MonotoneFunction([-1, 0, 1], [-1, 0.5, 0.2]),
      "values must be nondecreasing"),
     (lambda: from_csv("t,value\n-1,-1\n0;0\n1,1\n"), "line 3: "),
@@ -135,7 +141,8 @@ FLAT = dataclasses.replace(
         "enclosure-bool-depth", "orbit-grid-float", "labelled-orbit-float",
         "orbit-grid-ceiling", "labelled-orbit-ceiling", "orbit-grid-huge",
         "plateau", "outside-domain", "unpinned", "scale-below-grid",
-        "flat-branch", "bad-descriptor", "decreasing-samples",
+        "flat-branch", "bad-descriptor", "list-descriptor", "int-descriptor",
+        "2d-samples", "unequal-samples", "decreasing-samples",
         "bad-csv-line"])
 def test_each_refusal_is_a_bad_argument(call, message, address_space_cap):
     with pytest.raises(BadArgument, match=message) as info:

@@ -186,7 +186,6 @@ def test_induced_by_solution_is_standard(quad02, quad02_solved, std):
     assert np.max(np.abs(evaluate(s2, t) - std.delta2(t))) <= 5e-3
     assert report.additivity_max_dev <= 5e-3
     assert report.boundary_ok
-    assert not report.differentiability_claimed
 
 
 def test_induced_rejects_plateau(quad02):

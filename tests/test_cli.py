@@ -1,9 +1,13 @@
 """End-to-end command-line runs: exit codes, files, determinism."""
 
+import errno
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +96,9 @@ def test_conjugate_writes_solution_and_log(quad_config, tmp_path):
                 "--out", out])
     assert code == 0
     log = json.loads((out / "convergence.json").read_text())
-    assert set(log) == {"residual", "grid", "max_local_variation",
-                        "strictly_increasing"}
+    assert set(log) == {"residual", "grid", "max_local_variation"}
     assert log["grid"] == 1025
     assert log["max_local_variation"] == 2.0 ** -9
-    assert log["strictly_increasing"] is True
     assert 0.0 <= log["residual"] <= 1e-9
     assert (out / "h.csv").read_text().startswith("t,value\n")
     assert (out / "h.gp").exists()
@@ -197,11 +199,17 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     ["probe", "--h-csv", "{coarse}", "--scales", "2:4", "--t0", "0.5"],
     ["probe", "--h-csv", "{coarse}", "--scales", "3:3"],
     ["probe", "--h-csv", "{coarse}", "--scales", "1:10000000000"],
+    # refused by the command line itself: no descriptor, and scales that
+    # are not two integers
+    ["validate"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "4-10"],
+    ["probe", "--h-csv", "{coarse}", "--scales", "a:b"],
 ], ids=["validate", "conjugate", "conjugate-target", "solve-fe", "probe",
         "probe-h-csv", "nonregular", "conjugate-c03", "probe-scales",
         "nonregular-n52", "validate-huge-grid", "conjugate-huge-grid",
         "solve-fe-huge-grid", "probe-huge-grid", "nonregular-huge-grid",
-        "probe-t0", "probe-one-scale", "probe-huge-scales"])
+        "probe-t0", "probe-one-scale", "probe-huge-scales",
+        "validate-no-config", "probe-scales-dash", "probe-scales-text"])
 def test_refused_input_leaves_no_output_directory(argv, quad_config,
                                                   tmp_path, capsys,
                                                   address_space_cap):
@@ -252,6 +260,20 @@ def test_path_fault_exits_two_naming_the_path(argv, path, quad_config,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path.format(**paths) in err
     assert not (tmp_path / "fresh").exists()
+
+
+def test_failed_rename_exits_two_and_leaves_no_temp_file(std_config,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out"
+    assert run(["validate", "--config", std_config, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write to output directory {out}: Permission denied\n")
+    assert not list(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +422,10 @@ def test_probe_refuses_crlf_copy_of_h_csv(tmp_path, capsys):
     assert not (out / "probe.json").exists()
 
 
-@pytest.mark.parametrize("row", ["abc,0", "1", "0,0,7"])
+# the last three are in to_csv's characters, so only the number parser
+# refuses them
+@pytest.mark.parametrize("row", ["abc,0", "1", "0,0,7", "1..2,0", "0,1e",
+                                 "--1,0"])
 def test_probe_rejects_malformed_csv_row(row, tmp_path, capsys):
     csv_path = tmp_path / "h.csv"
     csv_path.write_text(f"t,value\n-1,-1\n{row}\n1,1\n")
@@ -466,6 +491,16 @@ def test_nonregular_integer_beyond_float_exits_two(tmp_path, capsys):
 
 def test_bad_subcommand_exits_two():
     assert run(["frobnicate"]) == 2
+
+
+def test_module_entry_point_runs_main(tmp_path, capsys):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pconfig.cli", "validate"],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert run(["validate"]) == proc.returncode == 2
+    assert capsys.readouterr().err == proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

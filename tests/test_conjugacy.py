@@ -467,7 +467,7 @@ def test_collided_words_keep_one_label_each():
     assert h.grid_size == 4033
     assert np.array_equal(h.nodes, x[first])
     assert np.array_equal(h.values, np.sort(labels))
-    assert h.fixes_anchors() and log.strictly_increasing
+    assert h.fixes_anchors() and h.is_strictly_increasing()
 
 
 #: Pairs whose orbits keep every word apart, lose words to collisions
@@ -544,13 +544,13 @@ def test_solver_grid_maps_onto_dyadics(quad02_solved):
     assert np.array_equal(h.values, dyadics)
     assert log.max_local_variation == pytest.approx(2.0 / (h.grid_size - 1),
                                                     rel=1e-6)
-    assert log.strictly_increasing
+    assert h.is_strictly_increasing()
 
 
-def test_flat_pair_log_reports_homeomorphism_check(pf2):
-    _, log = conjugate_to_standard(pf2, grid=1025)
-    assert log.strictly_increasing
-    assert "strictly_increasing" in log.to_dict()
+def test_flat_pair_h_increases_strictly(pf2):
+    h, log = conjugate_to_standard(pf2, grid=1025)
+    assert h.is_strictly_increasing()
+    assert set(log.to_dict()) == {"residual", "grid", "max_local_variation"}
 
 
 # ---------------------------------------------------------------------------

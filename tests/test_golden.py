@@ -11,6 +11,8 @@ The manifest also records the SHA-256 of each demo's stdout, which
 Regenerate the manifest, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each command file and demo whose digest it changed.
 """
 
 import contextlib
@@ -83,10 +85,39 @@ def test_output_matches_the_manifest(name, results):
         f"running {versions()}")
 
 
+def test_manifest_keys_are_the_commands_and_demos():
+    # a command or demo renamed or removed must leave the manifest with it
+    from test_demos import DEMOS
+    manifest = json.loads(MANIFEST.read_text())
+    assert set(manifest["commands"]) == set(COMMANDS)
+    assert set(manifest["demos"]) == {d.name for d in DEMOS}
+
+
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """The outputs whose record differs between the manifests `old` and
+    `new`, as ``command <name>: <output>`` and ``demo <name>`` lines."""
+    def entries(manifest):
+        flat = {}
+        for name, result in manifest.get("commands", {}).items():
+            flat |= {f"command {name}: {key}": result[key]
+                     for key in ("exit", "stdout", "stderr")}
+            flat |= {f"command {name}: {file}": digest
+                     for file, digest in result["files"].items()}
+        return flat | {f"demo {name}": digest
+                       for name, digest in manifest.get("demos", {}).items()}
+
+    old, new = entries(old), entries(new)
+    return sorted(key for key in old.keys() | new.keys()
+                  if old.get(key) != new.get(key))
+
+
 if __name__ == "__main__":
     from test_demos import DEMOS, demo_digest
     with tempfile.TemporaryDirectory() as tmp:
         manifest = {**versions(), "commands": run_commands(Path(tmp)),
                     "demos": {d.name: demo_digest(d) for d in DEMOS}}
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for line in changed_entries(old, manifest):
+        print(line)
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
