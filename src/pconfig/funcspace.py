@@ -23,7 +23,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +183,9 @@ CSV_HEADER = "t,value"
 _CSV_WRITE_ROWS = 8192
 
 #: Characters of text parsed in one slice, rounded up to a whole line: the
-#: slice's copies (encoded, separators, commas for newlines) stay this
-#: small, where copies of a whole 10 MB text set the parse's peak memory.
-_CSV_READ_CHARS = 1 << 20
+#: slice's copies and its few hundred bytes of arrays per number stay
+#: small, where a whole 10 MB text's would set the parse's peak memory.
+_CSV_READ_CHARS = 1 << 18
 
 
 def to_csv(f: MonotoneFunction) -> str:
@@ -275,9 +274,9 @@ def _digit_chars(digits: np.ndarray) -> np.ndarray:
     return chars.reshape(18, digits.size)[1:]
 
 
-#: How close to a whole number or a half the low part of an inexact
-#: product may come before ``%`` decides the rounding: far above the
-#: product's error bound, 1e-14.
+#: How close to a rounding boundary a number may come before ``%`` or
+#: ``float()`` decides it: far above the error bounds of :func:`_digits`
+#: and :func:`_quotients`, 1e-14 and 2^-47.
 _TIE_MARGIN = 2.0 ** -20
 
 
@@ -335,9 +334,9 @@ def _scaled(magnitudes: np.ndarray, scale: np.ndarray):
 
     With 10^s = hi + lo + t, hi = fl(10^s), lo = fl(10^s - hi), Dekker's
     product gives p = fl(|x| hi) and its exact error e, and r = fl(e +
-    fl(|x| lo)).  For y < 10^17, |x lo| < 2^-53 y < 12 rounds by at most
-    2^-50, |e| <= ulp(p) / 2 <= 8 makes the sum round by at most 2^-49,
-    and |x t| < 2^-106 y < 2^-49: |y - p - r| < 5e-15.
+    fl(|x| lo)).  |x lo| < 2^-53 y rounds by at most 2^-106 y, |e| <=
+    2^-53 y makes the sum round by at most 2^-105 y, and |x t| < 2^-106
+    y: |y - p - r| < 2^-104 y, below 5e-15 for y < 10^17.
     """
     hi, lo, hi_head, hi_tail = np.take(_powers_of_ten(), scale, axis=1)
     p = magnitudes * hi
@@ -368,11 +367,18 @@ def _powers_of_ten() -> np.ndarray:
 def from_csv(text: str) -> MonotoneFunction:
     """Parse h.csv: the header line ``t,value``, then rows of two numbers
     ``<t>,<value>``, each ended by ``\\n`` (the last newline may be
-    missing).  A number is any spelling in the characters
-    ``0-9 . e E + -`` that numpy reads as a float, so ``+0.5``, ``.5``,
-    ``00.5``, ``0.50000``, ``1E-1`` and ``0.5e+0`` are read as well as the
-    form :func:`to_csv` writes.  Blank lines, CR/LF line ends, whitespace and
-    spellings such as ``1_0`` or ``nan`` are refused.
+    missing).  A number is in the form :func:`to_csv` writes, ``%.17g``
+    of a finite float of magnitude at most 1, with an optional ``-``:
+
+    * ``0`` or ``1``;
+    * ``0.``, at most three zeros, then 1 to 17 significant digits;
+    * a digit 1-9, optionally ``.`` and 1 to 16 more digits, then ``e-``
+      and an exponent 05-99 or 100-324;
+
+    with no zero after a point's last nonzero digit.  Anything else, such
+    as ``+0.5``, ``.5``, ``0.50000``, ``1E-1``, ``1.5`` or ``1e-5``, a
+    blank line, CR/LF or whitespace, is refused.  A number reads as the
+    float ``float()`` gives (see :func:`_quotients`).
 
     Raises
     ------
@@ -390,15 +396,11 @@ def from_csv(text: str) -> MonotoneFunction:
     return MonotoneFunction(*columns)
 
 
-#: The characters of the numbers :func:`to_csv` writes.
-_NUMBER_BYTES = b"0123456789.eE+-"
-
-
 def _parse_csv_body(text: str) -> np.ndarray:
     """The numbers of `text`, row after row, parsed vectorised in
     line-aligned slices of about ``_CSV_READ_CHARS`` characters, so no copy
-    of the whole text is made; only a slice that fails is read again line
-    by line, to name its bad line."""
+    of the whole text is made; only a slice that fails is read again, in
+    halves, to name its first bad line."""
     if not text.startswith(CSV_HEADER + "\n"):
         raise BadArgument(f"expected header {CSV_HEADER!r}")
     start = len(CSV_HEADER) + 1
@@ -407,14 +409,19 @@ def _parse_csv_body(text: str) -> np.ndarray:
         end = text.find("\n", start + _CSV_READ_CHARS - 1) + 1 or len(text)
         flat = _parse_csv_slice(text[start:end])
         if flat is None:
-            # a slice fails where one of its lines does; lines are counted
+            # lines [good, stop) hold the first bad one; lines are counted
             # only here, so well-formed text takes no extra pass
             lines = text[start:end].removesuffix("\n").split("\n")
-            bad = next(i for i, line in enumerate(lines)
-                       if _parse_csv_slice(line) is None)
-            number = text.count("\n", 0, start) + 1 + bad
+            good, stop = 0, len(lines)
+            while stop - good > 1:
+                mid = (good + stop) // 2
+                if _parse_csv_slice("\n".join(lines[good:mid]) + "\n") is None:
+                    stop = mid
+                else:
+                    good = mid
+            number = text.count("\n", 0, start) + 1 + good
             raise BadArgument(f"line {number}: expected two numbers "
-                              f"'t,value', got {lines[bad]!r}")
+                              f"'t,value', got {lines[good]!r}")
         parts.append(flat)
         start = end
     return np.concatenate(parts) if parts else np.empty(0)
@@ -422,19 +429,92 @@ def _parse_csv_body(text: str) -> np.ndarray:
 
 def _parse_csv_slice(rows: str) -> np.ndarray | None:
     """The numbers of whole `rows` (the last may lack its newline) in the
-    form :func:`to_csv` writes, or None."""
-    # only the separators are left, which must alternate
-    seps = rows.encode().translate(None, _NUMBER_BYTES)
+    form :func:`from_csv` reads, or None.
+
+    A field's form is told by its first two bytes and where ``e`` would
+    sit; a byte read outside its field only enters a form whose length
+    test fails.  The forms' points, ``e`` and ``-`` must be all bytes but
+    digits and separators.  The digits, without the point, and exponents
+    are then int64; digits past 2^63 read as 2^63 - 1, which is refused.
+    """
     if not rows.endswith("\n"):
-        seps += b"\n"
-    if seps != b",\n" * (len(seps) // 2):
+        rows += "\n"
+    text = rows.encode()
+    chars = np.frombuffer(text, np.uint8)
+    # ',' and newline, which must alternate, and any other byte below '-'
+    end = np.flatnonzero(chars < ord("-"))
+    if (end.size % 2 or np.any(chars[end[::2]] != ord(","))
+            or np.any(chars[end[1::2]] != ord("\n"))):
         return None
-    with warnings.catch_warnings():
-        # older numpy warns and stops at unparsable data, newer numpy
-        # raises
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            flat = np.fromstring(rows.replace("\n", ","), sep=",")
-        except (DeprecationWarning, ValueError):
-            return None
-    return flat if flat.size == len(seps) else None
+    start = np.concatenate(([0], end[:-1] + 1))
+    sign = chars[start] == ord("-")
+    first = start + sign
+    lead = chars[first]
+    point = chars.take(first + 1, mode="clip") == ord(".")
+    # 'e-' and three exponent digits, else 'e-' and two
+    three = chars.take(end - 5, mode="clip") == ord("e")
+    e_at = end - 4 - three
+    mantissa = e_at - first
+    scientific = ((chars.take(e_at, mode="clip") == ord("e"))
+                  & (chars.take(e_at + 1, mode="clip") == ord("-"))
+                  & (lead > ord("0")) & (lead <= ord("9"))
+                  & ((mantissa == 1)
+                     | point & (mantissa >= 3) & (mantissa <= 18)))
+    length = end - first
+    short = (length == 1) & ((lead == ord("0")) | (lead == ord("1")))
+    fixed = (lead == ord("0")) & point & (length >= 3) & (length <= 22)
+    # the digits end at 'e' or at the separator, and not with a zero
+    stop = end - (end - e_at) * scientific
+    placed = np.count_nonzero(scientific)
+    if not (np.all(short | (fixed | scientific)
+                   & (chars[stop - 1] != ord("0")))
+            and np.count_nonzero(chars > ord("9")) == placed
+            and np.count_nonzero(chars < ord("0")) == end.size + placed
+            + np.count_nonzero(point) + np.count_nonzero(sign)):
+        return None
+    integers = np.fromstring(
+        text.translate(bytes.maketrans(b"e\n", b",,"), b"."), np.int64,
+        sep=",")
+    # each field's last integer: its exponent if scientific, else digits
+    last = np.cumsum(scientific, dtype=np.int64) + np.arange(end.size)
+    digits = np.abs(integers[last - scientific])
+    decade = -integers[last] * scientific
+    frac = (stop - first - 2) * point
+    if not np.all((short | (digits < 10 ** 17)
+                   & (digits >= 10 ** np.maximum(frac - 4, 0)))
+                  & (decade >= (5 + 95 * three) * scientific)
+                  & (decade <= 324)):
+        return None
+    x, settled = _quotients(digits, frac + decade)
+    x = np.copysign(x, 0.5 - sign)
+    slow = np.flatnonzero(~settled)
+    x[slow] = [float(text[i:j]) for i, j in zip(start[slow].tolist(),
+                                                end[slow].tolist())]
+    return x
+
+
+def _quotients(digits: np.ndarray, k: np.ndarray):
+    """D 10^-k rounded to the nearest float, for integers 0 <= D < 10^17,
+    and whether it is settled; an unsettled number is left to ``float()``.
+
+    With D = d + d_lo exactly, q = fl(d / hi) is within 2 ulp of D 10^-k
+    and q 10^k = p + r to 2^-104 D (:func:`_scaled`).  So x = fl(q +
+    correction), correction = ((d - p) - r + d_lo) / hi, and its residual
+    are found to 2^-47 of the gap between floats on the residual's side.
+    x is settled unless the residual, widened by ``_TIE_MARGIN``, rounds
+    elsewhere, or x is not above 1e-290, as in the writer: there the
+    correction loses bits to the subnormals.
+    """
+    # past the table, k = 307 leaves q <= 10^17 / 10^307, unsettled
+    k = np.minimum(k, 307)
+    d = digits.astype(float)
+    d_lo = (digits - d.astype(np.int64)).astype(float)
+    hi = _powers_of_ten()[0, k]
+    q = d / hi
+    p, r, _ = _scaled(q, k)
+    correction = (((d - p) - r) + d_lo) / hi
+    x = q + correction
+    residual = (q - x) + correction
+    settled = (((q > 1e-290) | (d == 0))
+               & (x + residual * (1.0 + 2.0 * _TIE_MARGIN) == x))
+    return x, settled

@@ -397,16 +397,19 @@ def test_probe_config_refuses_before_solving(probe_args, quad_config,
     assert not out.exists()
 
 
-def test_probe_rejects_csv_with_infinite_slope(tmp_path):
+def test_probe_rejects_csv_with_infinite_slope(tmp_path, capsys):
     # the slope 0.992 / 2.2e-311 overflows; the nodes from 0.5 up resolve
     # the probed scales, so only that slope makes the file unusable
     nodes = [-1.0, 0.0, 2.2e-311, *np.linspace(0.5, 1.0, 33).tolist()]
     values = [-1.0, 3.96e-3, 0.996, *np.linspace(0.997, 1.0, 33).tolist()]
     csv_path = tmp_path / "h.csv"
     csv_path.write_text("t,value\n" + "".join(
-        f"{t!r},{v!r}\n" for t, v in zip(nodes, values)))
+        f"{t:.17g},{v:.17g}\n" for t, v in zip(nodes, values)))
     assert run(["probe", "--h-csv", csv_path, "--scales", "2:4",
                 "--out", tmp_path]) == 2
+    # the file is in the form to_csv writes: the slope check refuses it
+    err = capsys.readouterr().err
+    assert "slope between adjacent nodes is not finite" in err
 
 
 def test_probe_refuses_crlf_copy_of_h_csv(tmp_path, capsys):

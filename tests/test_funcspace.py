@@ -303,19 +303,44 @@ def test_csv_rejects_row_that_is_not_two_numbers(row):
 
 @pytest.mark.parametrize("text, message", [
     ("t,value\n\n-1,-1\n1,1\n", "line 2: .*''"),
+    ("t,value\n-1,-1\n\n0,0\n1,1\n", "line 3: .*''"),
     ("t,value\r\n-1,-1\r\n1,1\r\n", "expected header"),
     ("t,value\n-1,-1\r\n1,1\n", r"line 2: .*'-1,-1\\r'"),
     ("t,value\n-1, -1\n1,1\n", "line 2: .*'-1, -1'"),
     ("t,value \n-1,-1\n1,1\n", "expected header"),
     ("t,value\n-1,-1\n0.1_2,0.5\n1,1\n", "line 3: .*'0.1_2,0.5'"),
     ("t,value\n-1,-1\nnan,0\n1,1\n", "line 3: .*'nan,0'"),
-], ids=["blank-line", "crlf", "crlf-row", "padded-number", "padded-header",
-        "underscore", "nan"])
+    ("t,value\n-1,-1\n+0.5,0\n1,1\n", r"line 3: .*'\+0.5,0'"),
+    ("t,value\n-1,-1\n0,.5\n1,1\n", r"line 3: .*'0,.5'"),
+    ("t,value\n-1,-1\n00.5,1\n1,1\n", r"line 3: .*'00.5,1'"),
+    ("t,value\n-1,-1\n0,0.50000\n1,1\n", r"line 3: .*'0,0.50000'"),
+    ("t,value\n-1,-1\n1E-1,1\n1,1\n", r"line 3: .*'1E-1,1'"),
+    ("t,value\n-1,-1\n0.5e+0,1\n1,1\n", r"line 3: .*'0.5e\+0,1'"),
+    ("t,value\n-1,-1\n0,1.5\n1,1\n", r"line 3: .*'0,1.5'"),
+    ("t,value\n-1,-1\n0.123456789012345678,1\n1,1\n",
+     r"line 3: .*'0.123456789012345678,1'"),
+    ("t,value\n-1,-1\n0.12345678901234567891,1\n1,1\n",
+     r"line 3: .*'0.12345678901234567891,1'"),
+    ("t,value\n-1,-1\n1e-5,1\n1,1\n", r"line 3: .*'1e-5,1'"),
+    ("t,value\n-1,-1\n1e-04,1\n1,1\n", r"line 3: .*'1e-04,1'"),
+], ids=["blank-line", "later-blank-line", "crlf", "crlf-row",
+        "padded-number", "padded-header", "underscore", "nan", "plus",
+        "no-leading-zero", "two-leading-zeros",
+        "trailing-zeros", "capital-e", "positive-exponent", "above-one",
+        "18-digits", "20-digits", "one-digit-exponent", "fixed-exponent"])
 def test_csv_refuses_what_to_csv_does_not_write(text, message):
     # from_csv reads only the form to_csv writes, and names the first
     # line that is not in it
     with pytest.raises(BadArgument, match=message):
         from_csv(text)
+
+
+def test_csv_first_of_two_bad_rows_is_named():
+    lines = to_csv(_random_function(1000)).splitlines(keepends=True)
+    lines[637] = lines[637].replace(",", ";")
+    lines[900] = "\n"
+    with pytest.raises(BadArgument, match="^line 638: "):
+        from_csv("".join(lines))
 
 
 def test_csv_short_row_is_named_beside_a_long_one():
@@ -423,6 +448,8 @@ _WRITER_CASES = {
     "powers": lambda: _with_neighbours(np.concatenate((
         [2.0 ** -k for k in range(1075)],
         [float(f"1e-{k}") for k in range(324)]))),
+    # read back, -0 keeps its sign bit, which its digits do not hold
+    "hard": lambda: np.array(_HARD_FLOATS),
 }
 
 
@@ -432,6 +459,9 @@ def test_to_csv_writes_the_bytes_of_percent_format(case):
     # to_csv reads only the two arrays, so any floats can stand in
     f = SimpleNamespace(nodes=numbers, values=numbers[::-1])
     assert to_csv(f) == _to_csv_row_by_row(f)
+    # the reader takes each back, bar those of magnitude above 1
+    kept = numbers[np.abs(numbers) <= 1.0]
+    _assert_reads_back(SimpleNamespace(nodes=kept, values=kept[::-1]))
 
 
 @pytest.mark.parametrize("output", ["h", "solution"])
@@ -443,6 +473,61 @@ def test_to_csv_writes_the_bytes_of_the_benchmark_outputs(output):
     else:
         f = solve_nonlinear(pair, grid=2 ** 18 + 1).solution
     assert to_csv(f) == _to_csv_row_by_row(f)
+    _assert_reads_back(f)
+
+
+def _assert_reads_back(f):
+    """The reader returns the numbers of to_csv(f) bit for bit."""
+    flat = _parse_csv_body(to_csv(f))
+    assert flat.tobytes() == np.column_stack(
+        (f.nodes, f.values)).ravel().tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-1.0, 1.0), digits=st.integers(1, 10 ** 17 - 1),
+       zeros=st.integers(0, 3), decade=st.integers(5, 324))
+@example(x=0.0, digits=1, zeros=0, decade=307)  # a subnormal correction
+def test_csv_reads_numbers_as_float_does(x, digits, zeros, decade):
+    # the %.17g of any float of magnitude at most 1, and any digits in
+    # the fixed and the scientific form, read as float() reads them
+    digits = str(digits).rstrip("0")
+    point = "." * (len(digits) > 1)
+    fields = [f"{x:.17g}", f"0.{'0' * zeros}{digits}",
+              f"-{digits[0]}{point}{digits[1:]}e-{decade:02d}"]
+    fields.append(fields[0])
+    text = "t,value\n{},{}\n{},{}\n".format(*fields)
+    expected = np.array([float(field) for field in fields])
+    assert _parse_csv_body(text).tobytes() == expected.tobytes()
+
+
+def _near_midpoints():
+    """Decimals of 17 digits x = D 10^-k, in the scientific form, each
+    5^-k / 2 of a gap from the midpoint of two floats in [2^-(b+1),
+    2^-b): far closer than the reader's error bound, so ``float()`` must
+    settle them.  D 2^(54+b) - (2M + 1) 10^k = +-2^k holds for D = (5^k
+    +- 1) / 2 / 2^(53+b-k) modulo 5^k."""
+    fields = []
+    for k in range(21, 307):
+        modulus = 5 ** k
+        for b in range(int((k - 17) * 3.32), int((k - 16) * 3.33) + 1):
+            first = max(10 ** 16, -(-10 ** k >> (b + 1)))
+            stop = min(10 ** 17, -(-10 ** k >> b))
+            for sign in (1, -1):
+                low = ((modulus + sign) // 2 * pow(2, k - 53 - b, modulus)
+                       % modulus)
+                low += max(0, -(-(first - low) // modulus)) * modulus
+                for d in range(low, stop, modulus):
+                    digits = str(d).rstrip("0")
+                    fields.append(f"{digits[0]}.{digits[1:]}e-{k - 16:02d}")
+    return fields
+
+
+def test_csv_reads_near_midpoints_as_float_does():
+    fields = _near_midpoints()
+    assert len(fields) > 400
+    text = "t,value\n" + "".join(f"{x},-{x}\n" for x in fields)
+    expected = [(float(x), -float(x)) for x in fields]
+    assert _parse_csv_body(text).tobytes() == np.array(expected).tobytes()
 
 
 def test_csv_round_trip_is_bit_exact_over_many_slices():
@@ -470,24 +555,25 @@ def test_csv_slices_parse_like_one_pass(chars, monkeypatch):
 
 
 def _fixed_width_csv(rows):
-    """Rows of ten characters after the header's eight, so that slices
-    of 30 characters hold rows 1-3, 4-6, ... exactly; and its numbers."""
-    text = "t,value\n" + "".join(f"{i:04d},{-i:04d}\n" for i in range(rows))
-    assert len(text) == 8 + 10 * rows
-    return text, np.array([(i, -i) for i in range(rows)], dtype=float)
+    """Rows of 13 characters after the header's eight, so that slices
+    of 39 characters hold rows 1-3, 4-6, ... exactly; and its numbers."""
+    fields = [(f"0.{i:02d}1", f"-0.{i:02d}1") for i in range(rows)]
+    text = "t,value\n" + "".join(f"{t},{v}\n" for t, v in fields)
+    assert len(text) == 8 + 13 * rows
+    return text, np.array(fields, dtype=float)
 
 
 def test_csv_slice_ending_on_a_newline(monkeypatch):
     text, numbers = _fixed_width_csv(100)
-    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 30)
+    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 39)
     assert _parse_csv_body(text).tobytes() == numbers.ravel().tobytes()
 
 
 def test_csv_bad_row_in_a_later_slice_is_named_by_its_line(monkeypatch):
     text, _ = _fixed_width_csv(20)
     lines = text.splitlines(keepends=True)
-    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 30)
+    monkeypatch.setattr(funcspace, "_CSV_READ_CHARS", 39)
     # the third slice holds rows 7-9, lines 8-10
-    lines[8] = "0008;-008\n"
-    with pytest.raises(BadArgument, match="^line 9: .*'0008;-008'"):
+    lines[8] = "0.071;-0.071\n"
+    with pytest.raises(BadArgument, match="^line 9: .*'0.071;-0.071'"):
         from_csv("".join(lines))
