@@ -206,10 +206,7 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     whatever the number of scales.
     """
     check_probe(t0, k_min, k_max)
-    check_integer("depth", depth)
-    if not 0 <= depth <= 1074:
-        raise BadArgument(f"depth must be >= 0 and <= 1074, got {depth}")
-    depth = int(depth)  # math.ldexp takes no numpy integer
+    depth = check_integer("depth", depth, 0, 1074)  # an int for math.ldexp
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
     scales = np.array([2.0 ** (-float(k)) for k in ks])
@@ -276,11 +273,9 @@ class DyadicCheckTable(Report):
 
 def dyadic_fixed_point_check(h: MonotoneFunction, pair: MapPair,
                              m_max: int = 8) -> DyadicCheckTable:
-    """Tabulate how far h moves the dyadic points 1 - 2^-m; `m_max` must
-    be an integer >= 1, else :class:`BadArgument`."""
-    check_integer("m_max", m_max)
-    if m_max < 1:
-        raise BadArgument(f"m_max must be >= 1, got {m_max}")
+    """Tabulate how far h moves 1 - 2^-m for m = 1 .. m_max, an integer in
+    1 .. 53 (from m = 54 on, 1 - 2^-m rounds to 1.0)."""
+    check_integer("m_max", m_max, 1, 53)
     ms = np.arange(1, m_max + 1)
     scales = 2.0 ** (-ms.astype(float))
     pts = 1.0 - scales

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -252,10 +252,7 @@ def labelled_orbit(pair: MapPair, depth: int) -> np.ndarray:
     each entry is its word walked through the pair's maps one branch at a
     time, bit for bit.  `depth` must be an integer in 0 .. MAX_DEPTH.
     """
-    check_integer("orbit depth", depth)
-    if not 0 <= depth <= MAX_DEPTH:
-        raise BadArgument(
-            f"orbit depth must be >= 0 and <= {MAX_DEPTH}, got {depth}")
+    check_integer("orbit depth", depth, 0, MAX_DEPTH)
     x = np.array(ANCHORS)
     for _ in range(depth):
         x = np.concatenate((pair.delta2(x), pair.delta1(x)[1:]))
@@ -423,7 +420,7 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
 def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
               ) -> tuple[MonotoneFunction, ConvergenceLog]:
     """Conjugation h of `source` to `target`, h(delta_i(t)) = tau_i(h(t)),
-    and the log of the one solve it runs, the source's.
+    and the log of its one solve, the source's, with h's max_local_variation.
 
     Since conjugacy is an equivalence relation, h is h_target^{-1} o
     h_source with both factors conjugations to the standard pair, h_source
@@ -442,4 +439,5 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
     h, log = conjugate_to_standard(source, grid=grid)
     if target.family != "standard":
         h = funcspace.compose(funcspace.invert(_labelled_h(target, grid)), h)
+        log = replace(log, max_local_variation=h.max_local_variation)
     return h, log

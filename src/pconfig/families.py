@@ -64,20 +64,25 @@ MIN_GRID = 257
 MAX_GRID = 2**24 + 1
 
 
-def check_integer(name: str, value):
-    """Refuse `value`, the argument `name`, with :class:`BadArgument`
-    unless it is an int or a numpy integer; a bool is refused."""
+def check_integer(name: str, value, lo=None, hi=None) -> int:
+    """`value`, the argument `name`, as an int; :class:`BadArgument` unless
+    an int or a numpy integer, not a bool, and in lo .. hi if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BadArgument(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if lo is not None and not lo <= value <= hi:
+        # str() refuses an int past 4300 digits, so one past 64 bits is sized
+        bits = value.bit_length()
+        shown = value if bits <= 64 else (
+            f"{'a negative' if value < 0 else 'an'} integer of {bits} bits")
+        raise BadArgument(f"{name} must be >= {lo} and <= {hi}, got {shown}")
+    return value
 
 
 def check_grid(grid: int):
     """Refuse a grid that is not an integer in MIN_GRID .. MAX_GRID with
     :class:`BadArgument`."""
-    check_integer("grid", grid)
-    if not MIN_GRID <= grid <= MAX_GRID:
-        raise BadArgument(
-            f"grid must be >= {MIN_GRID} and <= {MAX_GRID}, got {grid}")
+    check_integer("grid", grid, MIN_GRID, MAX_GRID)
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +135,8 @@ def quadratic_pair(c: float) -> MapPair:
         c = float(c)
     except OverflowError:
         raise BadArgument("c holds an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise BadArgument(f"c must be a number, got {c!r}") from None
     if not np.isfinite(c):
         raise BadArgument(f"c must be finite, got {c!r}")
 
@@ -171,7 +178,7 @@ def quadratic_pair(c: float) -> MapPair:
 
 def _coefficients(name: str, coeffs) -> np.ndarray:
     """The polynomial coefficients `coeffs` of the branch `name` as floats,
-    refused unless they form a nonempty flat list of finite numbers."""
+    refused unless a nonempty flat list of finite numbers, not bools."""
     try:
         a = np.asarray(coeffs, dtype=float)
     except OverflowError:
@@ -179,6 +186,9 @@ def _coefficients(name: str, coeffs) -> np.ndarray:
             f"{name} holds an integer too large for a float") from None
     if a.ndim != 1 or a.size == 0:
         raise BadArgument(f"{name} coefficients must be a nonempty flat list")
+    if any(isinstance(x, (bool, np.bool_)) for x in coeffs):
+        raise BadArgument(
+            f"{name} coefficients must be numbers, got {coeffs!r}")
     if not np.all(np.isfinite(a)):
         raise BadArgument(
             f"{name} coefficients must be finite, got {a.tolist()}")
@@ -227,19 +237,13 @@ _PSI_PLATEAU = 0.5             # p
 
 
 def perturbed_flat_pair(n: int) -> MapPair:
-    """The pair whose delta1' vanishes at one point, strictly inside J_n;
-    refused for n > 51, where no float lies there."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise BadArgument(f"n must be an integer >= 1, got {n!r}")
-    try:
-        left, right = flat_interval(n)
-    except OverflowError:
-        raise BadArgument("n holds an integer too large for a float") from None
+    """The pair whose delta1' vanishes at one point, strictly inside J_n,
+    for an integer n in 1 .. 51: from n = 52 on, that point 1 - 3 2^-(n+2)
+    needs a bit below the spacing of the floats near 1."""
+    n = check_integer("n", n, 1, 51)
+    left, right = flat_interval(n)
     width = right - left
     lam = left + width / 2.0     # the single flat point
-    if not left < lam < right:
-        raise BadArgument(f"n must be at most 51, got {n}: no float lies "
-                          "strictly inside J_n around the flat point")
     w, p = _PHI_HALFWIDTH, _PSI_PLATEAU
     m = 4.0 * w / (1.0 + p)
     r = (1.0 - p) / 8.0          # psi ramp width in u units
@@ -317,7 +321,7 @@ def perturbed_flat_pair(n: int) -> MapPair:
 
     return MapPair(
         family="perturbed_flat",
-        params={"n": int(n)},
+        params={"n": n},
         delta1=d1,
         delta2=d2,
         d_delta1=d1p,

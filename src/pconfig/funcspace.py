@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgument
+from .families import MAX_GRID, check_integer
 
 DOMAIN_LEFT = -1.0
 DOMAIN_RIGHT = 1.0
@@ -121,7 +122,8 @@ def _read_only(samples) -> np.ndarray:
 
 
 def identity(n: int) -> MonotoneFunction:
-    """The identity function, sampled at `n` uniform nodes."""
+    """The identity function at `n` uniform nodes, n in 2 .. MAX_GRID."""
+    check_integer("n", n, 2, MAX_GRID)
     nodes = np.linspace(DOMAIN_LEFT, DOMAIN_RIGHT, n)
     return MonotoneFunction(nodes, nodes)
 

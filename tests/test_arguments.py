@@ -26,6 +26,7 @@ from pconfig import (
     labelled_orbit,
     nonregular_experiment,
     oracle_quotient_enclosure,
+    perturbed_flat_pair,
     quadratic_pair,
     solve_nonlinear,
     standard_pair,
@@ -124,6 +125,32 @@ FLAT = dataclasses.replace(
     (lambda: MonotoneFunction([-1, 0, 1], [-1, 0.5, 0.2]),
      "values must be nondecreasing"),
     (lambda: from_csv("t,value\n-1,-1\n0;0\n1,1\n"), "line 3: "),
+    # each integer argument has bounds, checked before any allocation; a
+    # refused value past 64 bits is named by its length in bits
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=54),
+     "m_max must be >= 1 and <= 53, got 54$"),
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=2 ** 40),
+     "m_max must be >= 1 and <= 53, got 1099511627776$"),
+    (lambda: dyadic_fixed_point_check(H, QUAD, m_max=10 ** 5000),
+     "m_max must be >= 1 and <= 53, got an integer of 16610 bits$"),
+    (lambda: validate(QUAD, grid=10 ** 5000),
+     "grid must be >= 257 and <= 16777217, got an integer of 16610 bits$"),
+    (lambda: validate(QUAD, grid=-10 ** 5000),
+     "got a negative integer of 16610 bits$"),
+    (lambda: labelled_orbit(QUAD, 10 ** 5000),
+     "orbit depth must be >= 0 and <= 23, got an integer of 16610 bits$"),
+    (lambda: identity(2.5), "n must be an integer, got 2.5$"),
+    (lambda: identity(1), "n must be >= 2 and <= 16777217, got 1$"),
+    (lambda: identity(MAX_GRID + 1),
+     "n must be >= 2 and <= 16777217, got 16777218$"),
+    (lambda: perturbed_flat_pair(0), "n must be >= 1 and <= 51, got 0$"),
+    (lambda: perturbed_flat_pair(52), "n must be >= 1 and <= 51, got 52$"),
+    (lambda: perturbed_flat_pair(10 ** 400),
+     "n must be >= 1 and <= 51, got an integer of 1329 bits$"),
+    # a descriptor number that float() refuses
+    (lambda: quadratic_pair(None), "c must be a number, got None$"),
+    (lambda: quadratic_pair([1]), r"c must be a number, got \[1\]$"),
+    (lambda: quadratic_pair("abc"), "c must be a number, got 'abc'$"),
 ], ids=["validate", "validate-ceiling", "fe-residual",
         "solve-nonlinear", "conjugate-to-standard", "conjugate",
         "probe-t0", "probe-one-scale", "probe-k0", "probe-float-ceiling",
@@ -143,7 +170,11 @@ FLAT = dataclasses.replace(
         "plateau", "outside-domain", "unpinned", "scale-below-grid",
         "flat-branch", "bad-descriptor", "list-descriptor", "int-descriptor",
         "2d-samples", "unequal-samples", "decreasing-samples",
-        "bad-csv-line"])
+        "bad-csv-line", "dyadic-ceiling", "dyadic-huge", "dyadic-past-digits",
+        "validate-past-digits", "validate-negative-past-digits",
+        "labelled-orbit-past-digits", "identity-float", "identity-one",
+        "identity-ceiling", "flat-zero", "flat-ceiling", "flat-huge",
+        "quadratic-none", "quadratic-list", "quadratic-text"])
 def test_each_refusal_is_a_bad_argument(call, message, address_space_cap):
     with pytest.raises(BadArgument, match=message) as info:
         call()

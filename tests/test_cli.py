@@ -82,7 +82,9 @@ def test_validate_integer_beyond_float_exits_two(spec, tmp_path, capsys):
     assert run(["validate", "--config", cfg, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "too large for a float" in err
+    # n is refused by its range, c and a coefficient as floats
+    assert ("n must be >= 1 and <= 51, got an integer of 1329 bits"
+            if "perturbed_flat" in spec else "too large for a float") in err
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +477,14 @@ def test_nonregular_has_no_m_max_flag(tmp_path):
 def test_nonregular_cell_without_interior_float_exits_two(tmp_path, capsys):
     assert run(["nonregular", "--n", 52, "--k", 3, "--out", tmp_path]) == 2
     assert capsys.readouterr().err == (
-        "error: n must be at most 51, got 52: no float lies strictly inside "
-        "J_n around the flat point\n")
+        "error: n must be >= 1 and <= 51, got 52\n")
     assert not (tmp_path / "experiment.json").exists()
 
 
 def test_nonregular_integer_beyond_float_exits_two(tmp_path, capsys):
     assert run(["nonregular", "--n", "1" + "0" * 400, "--out", tmp_path]) == 2
     assert capsys.readouterr().err == (
-        "error: n holds an integer too large for a float\n")
+        "error: n must be >= 1 and <= 51, got an integer of 1329 bits\n")
     assert not (tmp_path / "experiment.json").exists()
 
 

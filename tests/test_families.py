@@ -73,7 +73,7 @@ def test_perturbed_flat_needs_a_float_strictly_inside_the_cell():
     (lam,) = p.flat_points
     assert lo < lam < hi
     assert float(p.d_delta1(lam)) == 0.0
-    with pytest.raises(BadArgument, match="n must be at most 51, got 52"):
+    with pytest.raises(BadArgument, match="n must be >= 1 and <= 51, got 52"):
         perturbed_flat_pair(52)
 
 
@@ -475,8 +475,8 @@ def test_build_family_bad_specs():
     with pytest.raises(BadArgument,
                        match="^quadratic: .*unexpected keyword .* 'extra'"):
         build_family({"family": "quadratic", "c": 0.2, "extra": 1})
-    with pytest.raises(BadArgument, match="^perturbed_flat: n must be an "
-                                          "integer >= 1, got 0$"):
+    with pytest.raises(BadArgument, match="^perturbed_flat: n must be >= 1 "
+                                          "and <= 51, got 0$"):
         build_family({"family": "perturbed_flat", "n": 0})
     with pytest.raises(BadArgument, match="^descriptor is not valid JSON"):
         build_family("not json {")
@@ -505,6 +505,10 @@ def test_build_family_bad_specs():
     ({"family": "polynomial", "delta1": [[0.5], [0.5]]}, "delta1"),
     # Python's json reads the literals NaN and Infinity
     ('{"family": "polynomial", "delta1": [0.5, 0.5, NaN]}', "delta1"),
+    # a bool is not a coefficient, as it is not c
+    ('{"family": "polynomial", "delta1": [true, 0.5]}', "delta1"),
+    ({"family": "polynomial", "delta1": [0.5, 0.5],
+      "delta2": [-0.5, True]}, "delta2"),
 ])
 def test_build_family_bad_spec_names_family_and_key(spec, key):
     with pytest.raises(BadArgument) as exc:

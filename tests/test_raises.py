@@ -1,6 +1,7 @@
 """The package has one refusal type: every input a function cannot accept
 raises ``BadArgument``, and a pair that yields no solution
-``InvalidPair``.  ``errors.py`` alone defines exception classes.
+``InvalidPair``.  ``errors.py`` alone defines exception classes, and
+``families.check_integer`` alone spells an integer range.
 """
 
 import ast
@@ -61,3 +62,26 @@ def test_no_exception_class_outside_errors():
         and any(_base_name(base) in exceptions for base in node.bases)
     ]
     assert defined == []
+
+
+def _spells_a_range(node) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "must be >=" in node.value)
+
+
+def test_one_function_spells_an_integer_range():
+    # families.check_integer is the one integer rule; a range test written
+    # out anywhere else would spell its own refusal
+    modules = _modules()
+    rule = next(node for node in ast.walk(modules["families.py"])
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "check_integer")
+    inside = {id(node) for node in ast.walk(rule)}
+    spelled = [
+        f"{name}:{node.lineno}: {node.value!r}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if _spells_a_range(node) and id(node) not in inside
+    ]
+    assert spelled == []
+    assert any(_spells_a_range(node) for node in ast.walk(rule))
