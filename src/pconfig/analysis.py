@@ -37,7 +37,7 @@ import numpy as np
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate
 from .errors import BadArgument
-from .families import (MapPair, check_integer, flat_interval,
+from .families import (MapPair, check_integer, check_number, flat_interval,
                        perturbed_flat_pair)
 from .funcspace import MonotoneFunction
 from .report import Report
@@ -79,18 +79,17 @@ def _local_gaps(nodes: np.ndarray, queries) -> np.ndarray:
     return nodes[idx] - nodes[idx - 1]
 
 
-def check_probe(t0: float, k_min: int, k_max: int):
-    """Refuse t0 other than -1 or 1, or scales other than integers 0 <
-    k_min < k_max <= 1023, with :class:`BadArgument`: the enclosure's
-    quotient bounds reach 2^k_max, and no grid resolves a scale below
-    2^-52."""
+def check_probe(t0: float, k_min: int, k_max: int) -> float:
+    """t0 as a float; :class:`BadArgument` unless t0 is -1 or 1 and the
+    scales are integers 1 <= k_min < k_max <= 1023: the enclosure's
+    quotient bounds reach 2^k_max, 2^1024 overflows a double, and no grid
+    resolves a scale below 2^-52."""
+    t0 = check_number("t0", t0)
     if t0 not in (-1.0, 1.0):
         raise BadArgument(f"t0 must be -1 or 1, got {t0}")
-    check_integer("k_min", k_min)
-    check_integer("k_max", k_max)
-    if not 0 < k_min < k_max <= 1023:
-        raise BadArgument(f"need 0 < k_min < k_max <= 1023 (a quotient "
-                          f"bound reaches 2^k_max), got {k_min}:{k_max}")
+    k_min = check_integer("k_min", k_min, 1, 1022)
+    check_integer("k_max", k_max, k_min + 1, 1023)
+    return t0
 
 
 def difference_quotients(f: MonotoneFunction, t0: float,
@@ -102,7 +101,7 @@ def difference_quotients(f: MonotoneFunction, t0: float,
     the grid: 2^-k_max has to be at least twice the widest node gap inside
     the probed window, else :class:`BadArgument`.
     """
-    check_probe(t0, k_min, k_max)
+    t0 = check_probe(t0, k_min, k_max)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = np.arange(k_min, k_max + 1)
     scales = 2.0 ** (-ks.astype(float))
@@ -205,7 +204,7 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     label.  The cost is about depth^2 / 2 steps of one vectorised walk,
     whatever the number of scales.
     """
-    check_probe(t0, k_min, k_max)
+    t0 = check_probe(t0, k_min, k_max)
     depth = check_integer("depth", depth, 0, 1074)  # an int for math.ldexp
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
@@ -351,13 +350,13 @@ def nonregular_experiment(n: int, k: int,
     Raises
     ------
     BadArgument
-        If n == k or either index is < 1 (no contradiction derivable), or
-        if a flat-point family cannot be built, e.g. for n > 51.
+        If a flat-point family cannot be built, for an index outside
+        1 .. 51, or if n == k (no contradiction derivable).
     """
-    if n == k or n < 1 or k < 1:
-        raise BadArgument(f"need cells n != k, both >= 1, got n={n}, k={k}")
     pair_n = perturbed_flat_pair(n)
     pair_k = perturbed_flat_pair(k)
+    if n == k:
+        raise BadArgument(f"need cells n != k, got n={n}, k={k}")
 
     h, _ = conjugate(pair_n, pair_k, grid=grid)
 

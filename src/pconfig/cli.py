@@ -89,8 +89,12 @@ def _resolve_target(spec: str | None) -> families.MapPair | None:
     if spec == "standard":
         return families.standard_pair()
     if spec.startswith("quadratic:"):
-        return families.build_family(
-            {"family": "quadratic", "c": spec.split(":", 1)[1]})
+        try:  # read as argparse reads --t0
+            c = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise BadArgument(
+                f"--target expects quadratic:<c>, got {spec!r}") from exc
+        return families.build_family({"family": "quadratic", "c": c})
     return _load_family(spec)
 
 

@@ -36,7 +36,9 @@ Families provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -79,6 +81,25 @@ def check_integer(name: str, value, lo=None, hi=None) -> int:
     return value
 
 
+def check_number(name: str, value) -> float:
+    """`value`, the argument `name`, as a float; :class:`BadArgument` unless
+    a real number, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        try:
+            shown = repr(value)
+        except Exception:  # a list of an int past 4300 digits, say
+            shown = f"a {type(value).__name__}"
+        raise BadArgument(f"{name} must be a number, got {shown}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise BadArgument(
+            f"{name} holds an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise BadArgument(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def check_grid(grid: int):
     """Refuse a grid that is not an integer in MIN_GRID .. MAX_GRID with
     :class:`BadArgument`."""
@@ -118,27 +139,12 @@ class MapPair:
 
 
 def standard_pair() -> MapPair:
-    return MapPair(
-        family="standard",
-        params={},
-        delta1=lambda t: (np.asarray(t, dtype=float) + 1.0) / 2.0,
-        delta2=lambda t: (np.asarray(t, dtype=float) - 1.0) / 2.0,
-        d_delta1=lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
-        d_delta2=lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
-    )
+    # 0.5 + 0.5 t rounds the real (t + 1) / 2 once, as the quotient does
+    return replace(_polynomial([0.5, 0.5]), family="standard", params={})
 
 
 def quadratic_pair(c: float) -> MapPair:
-    if isinstance(c, bool):
-        raise BadArgument(f"c must be a number, got {c!r}")
-    try:
-        c = float(c)
-    except OverflowError:
-        raise BadArgument("c holds an integer too large for a float") from None
-    except (TypeError, ValueError):
-        raise BadArgument(f"c must be a number, got {c!r}") from None
-    if not np.isfinite(c):
-        raise BadArgument(f"c must be finite, got {c!r}")
+    c = check_number("c", c)
 
     # delta1 is (t + 1.0) / 2.0 + c * (1.0 - t * t) and delta2 is
     # (t - 1.0) / 2.0 - c * (1.0 - t * t): the same float operations into
@@ -178,21 +184,11 @@ def quadratic_pair(c: float) -> MapPair:
 
 def _coefficients(name: str, coeffs) -> np.ndarray:
     """The polynomial coefficients `coeffs` of the branch `name` as floats,
-    refused unless a nonempty flat list of finite numbers, not bools."""
-    try:
-        a = np.asarray(coeffs, dtype=float)
-    except OverflowError:
-        raise BadArgument(
-            f"{name} holds an integer too large for a float") from None
-    if a.ndim != 1 or a.size == 0:
+    refused unless a nonempty list or tuple of numbers."""
+    if not isinstance(coeffs, (list, tuple)) or not coeffs:
         raise BadArgument(f"{name} coefficients must be a nonempty flat list")
-    if any(isinstance(x, (bool, np.bool_)) for x in coeffs):
-        raise BadArgument(
-            f"{name} coefficients must be numbers, got {coeffs!r}")
-    if not np.all(np.isfinite(a)):
-        raise BadArgument(
-            f"{name} coefficients must be finite, got {a.tolist()}")
-    return a
+    return np.array([check_number(f"{name}[{i}]", x)
+                     for i, x in enumerate(coeffs)])
 
 
 def _polynomial(delta1, delta2=None) -> MapPair:

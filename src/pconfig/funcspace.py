@@ -42,7 +42,7 @@ class MonotoneFunction:
     ----------
     nodes :
         Strictly increasing abscissae; first is -1, last is +1.  Each
-        slope between adjacent nodes must be finite, so that linear
+        slope between adjacent nodes is finite, so that linear
         interpolation stays inside the values it interpolates.
     values :
         Nondecreasing ordinates in [-1, 1], one per node.

@@ -50,17 +50,26 @@ FLAT = dataclasses.replace(
     (lambda: conjugate(QUAD, standard_pair(), grid=10 ** 14),
      "grid must be >= 257"),
     (lambda: difference_quotients(H, 0.5), "t0 must be -1 or 1"),
-    (lambda: difference_quotients(H, 1.0, 3, 3), "k_min < k_max"),
-    (lambda: difference_quotients(H, 1.0, 0, 4), "k_min < k_max"),
-    (lambda: difference_quotients(H, 1.0, 1, 1024), "k_max <= 1023"),
-    (lambda: difference_quotients(H, 1.0, 1, 1075), "k_max <= 1023"),
-    (lambda: difference_quotients(H, 1.0, 1, 10 ** 10), "k_max <= 1023"),
+    # the scales relate by their bounds: k_max from k_min + 1 to 1023
+    (lambda: difference_quotients(H, 1.0, 3, 3),
+     "k_max must be >= 4 and <= 1023, got 3$"),
+    (lambda: difference_quotients(H, 1.0, 0, 4),
+     "k_min must be >= 1 and <= 1022, got 0$"),
+    (lambda: difference_quotients(H, 1.0, 1, 1024),
+     "k_max must be >= 2 and <= 1023, got 1024$"),
+    (lambda: difference_quotients(H, 1.0, 1, 1075),
+     "k_max must be >= 2 and <= 1023, got 1075$"),
+    (lambda: difference_quotients(H, 1.0, 1, 10 ** 10),
+     "k_max must be >= 2 and <= 1023, got 10000000000$"),
     (lambda: oracle_quotient_enclosure(QUAD, -0.5), "t0 must be -1 or 1"),
-    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 9, 8), "k_min < k_max"),
-    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 1024), "k_max <= 1023"),
-    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 1075), "k_max <= 1023"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 9, 8),
+     "k_max must be >= 10 and <= 1023, got 8$"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 1024),
+     "k_max must be >= 2 and <= 1023, got 1024$"),
+    (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 1075),
+     "k_max must be >= 2 and <= 1023, got 1075$"),
     (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 10 ** 10),
-     "k_max <= 1023"),
+     "k_max must be >= 2 and <= 1023, got 10000000000$"),
     (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2, depth=-1), "depth"),
     # past 1074 the label step 2^-depth is below the smallest double
     (lambda: oracle_quotient_enclosure(QUAD, 1.0, 1, 2, depth=1075),
@@ -73,7 +82,7 @@ FLAT = dataclasses.replace(
     (lambda: build_orbit_grid(QUAD, -1), "orbit depth"),
     (lambda: labelled_orbit(QUAD, -1), "orbit depth"),
     (lambda: nonregular_experiment(2, 2), "n != k"),
-    (lambda: nonregular_experiment(0, 1), "both >= 1"),
+    (lambda: nonregular_experiment(0, 1), "n must be >= 1 and <= 51, got 0$"),
     # integer arguments refuse floats and bools before any work
     (lambda: validate(QUAD, grid=4097.0), "grid must be an integer"),
     (lambda: validate(QUAD, grid=True), "grid must be an integer"),
@@ -151,6 +160,23 @@ FLAT = dataclasses.replace(
     (lambda: quadratic_pair(None), "c must be a number, got None$"),
     (lambda: quadratic_pair([1]), r"c must be a number, got \[1\]$"),
     (lambda: quadratic_pair("abc"), "c must be a number, got 'abc'$"),
+    # a number is a real number, not text or a bool, that a float holds
+    (lambda: build_family({"family": "quadratic", "c": "0.2"}),
+     "^quadratic: c must be a number, got '0.2'$"),
+    (lambda: build_family({"family": "polynomial", "delta1": ["0.5", "0.5"]}),
+     r"^polynomial: delta1\[0\] must be a number, got '0.5'$"),
+    (lambda: quadratic_pair(np.True_), "c must be a number, got np.True_$"),
+    (lambda: quadratic_pair([10 ** 5000]), "c must be a number, got a list$"),
+    (lambda: difference_quotients(H, True), "t0 must be a number, got True$"),
+    (lambda: oracle_quotient_enclosure(QUAD, True),
+     "t0 must be a number, got True$"),
+    (lambda: difference_quotients(H, 1.0, 1, 10 ** 5000),
+     "k_max must be >= 2 and <= 1023, got an integer of 16610 bits$"),
+    (lambda: nonregular_experiment(10 ** 5000, 10 ** 5000),
+     "n must be >= 1 and <= 51, got an integer of 16610 bits$"),
+    (lambda: nonregular_experiment(-10 ** 5000, 1),
+     "n must be >= 1 and <= 51, got a negative integer of 16610 bits$"),
+    (lambda: nonregular_experiment("a", 2), "n must be an integer, got 'a'$"),
 ], ids=["validate", "validate-ceiling", "fe-residual",
         "solve-nonlinear", "conjugate-to-standard", "conjugate",
         "probe-t0", "probe-one-scale", "probe-k0", "probe-float-ceiling",
@@ -174,7 +200,11 @@ FLAT = dataclasses.replace(
         "validate-past-digits", "validate-negative-past-digits",
         "labelled-orbit-past-digits", "identity-float", "identity-one",
         "identity-ceiling", "flat-zero", "flat-ceiling", "flat-huge",
-        "quadratic-none", "quadratic-list", "quadratic-text"])
+        "quadratic-none", "quadratic-list", "quadratic-text",
+        "descriptor-text-c", "descriptor-text-coefficient",
+        "quadratic-numpy-bool", "quadratic-list-past-digits", "probe-bool-t0",
+        "enclosure-bool-t0", "probe-past-digits", "experiment-past-digits",
+        "experiment-negative-past-digits", "experiment-text"])
 def test_each_refusal_is_a_bad_argument(call, message, address_space_cap):
     with pytest.raises(BadArgument, match=message) as info:
         call()

@@ -150,17 +150,20 @@ def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):
     (["--config", "{std_c}"],
      "standard: standard_pair() got an unexpected keyword argument 'c'"),
     (["--config", "{poly_nan}"],
-     "polynomial: delta1 coefficients must be finite, got [0.5, 0.5, nan]"),
+     "polynomial: delta1[2] must be finite, got nan"),
     (["--config", "{poly_inf}"],
-     "polynomial: delta1 coefficients must be finite, got [0.5, 0.5, inf]"),
+     "polynomial: delta1[2] must be finite, got inf"),
+    # --target reads c by float(), as --t0 is read
+    (["--config", "{quad}", "--target", "quadratic:abc"],
+     "--target expects quadratic:<c>, got 'quadratic:abc'"),
 ])
 def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
                                             tmp_path, capsys):
     configs = {"c03": {"family": "quadratic", "c": 0.3},
-               "nan": {"family": "quadratic", "c": "nan"},
                "std_c": {"family": "standard", "c": 1},
                # written with the JSON literals NaN and Infinity, which
                # json reads back as floats
+               "nan": {"family": "quadratic", "c": float("nan")},
                "poly_nan": {"family": "polynomial",
                             "delta1": [0.5, 0.5, float("nan")]},
                "poly_inf": {"family": "polynomial",

@@ -2,10 +2,12 @@
 descriptor round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from conftest import flat_reference
+from hypothesis import example, given, strategies as st
 
 from pconfig import (
     BadArgument,
@@ -516,6 +518,43 @@ def test_build_family_bad_spec_names_family_and_key(spec, key):
     message = str(exc.value)
     family = (json.loads(spec) if isinstance(spec, str) else spec)["family"]
     assert message.startswith(f"{family}: ") and key in message
+
+
+def _number_descriptors(x) -> list:
+    """Descriptors holding `x` as c and as a coefficient of delta1, each
+    with its family and key."""
+    return [({"family": "quadratic", "c": x}, "quadratic", "c"),
+            ({"family": "polynomial", "delta1": [0.5, x]}, "polynomial",
+             "delta1")]
+
+
+#: Values a descriptor number must not be: text (numerals included), a
+#: bool, null, a list, a non-finite float and an int no float holds.
+_NOT_NUMBERS = st.one_of(
+    st.text(), st.floats().map(repr), st.booleans(), st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=2 ** 1024), st.integers(max_value=-2 ** 1024))
+
+
+@given(_NOT_NUMBERS)
+@example("0.2")
+@example([10 ** 5000])
+def test_descriptor_numbers_refuse_all_but_finite_numbers(x):
+    for spec, family, key in _number_descriptors(x):
+        with pytest.raises(BadArgument) as exc:
+            build_family(spec)
+        message = str(exc.value)
+        assert message.startswith(f"{family}: ") and key in message
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_descriptor_numbers_take_every_finite_float(x):
+    # JSON writes each float by repr, so the text compares them bit for bit
+    for spec, _, _ in _number_descriptors(x):
+        text = json.dumps(build_family(spec).descriptor())
+        assert text == json.dumps(spec)
+        assert json.dumps(build_family(text).descriptor()) == text
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])

@@ -1,7 +1,8 @@
 """The package has one refusal type: every input a function cannot accept
 raises ``BadArgument``, and a pair that yields no solution
 ``InvalidPair``.  ``errors.py`` alone defines exception classes, and
-``families.check_integer`` alone spells an integer range.
+``families.check_integer`` alone spells an integer range, and
+``families.check_number`` alone a real number.
 """
 
 import ast
@@ -64,24 +65,38 @@ def test_no_exception_class_outside_errors():
     assert defined == []
 
 
-def _spells_a_range(node) -> bool:
+def _spells(node, phrases) -> bool:
     return (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and "must be >=" in node.value)
+            and any(phrase in node.value for phrase in phrases))
+
+
+def _assert_one_rule_spells(rule_name, phrases):
+    """Only the function `rule_name` of families.py spells each of
+    `phrases`, and it spells each."""
+    modules = _modules()
+    rule = next((node for node in ast.walk(modules["families.py"])
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == rule_name), None)
+    inside = {id(node) for node in ast.walk(rule)} if rule else set()
+    spelled = [
+        f"{name}:{node.lineno}: {node.value!r}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if _spells(node, phrases) and id(node) not in inside
+    ]
+    assert spelled == []
+    assert rule is not None
+    for phrase in phrases:
+        assert any(_spells(node, [phrase]) for node in ast.walk(rule))
 
 
 def test_one_function_spells_an_integer_range():
     # families.check_integer is the one integer rule; a range test written
     # out anywhere else would spell its own refusal
-    modules = _modules()
-    rule = next(node for node in ast.walk(modules["families.py"])
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "check_integer")
-    inside = {id(node) for node in ast.walk(rule)}
-    spelled = [
-        f"{name}:{node.lineno}: {node.value!r}"
-        for name, tree in modules.items()
-        for node in ast.walk(tree)
-        if _spells_a_range(node) and id(node) not in inside
-    ]
-    assert spelled == []
-    assert any(_spells_a_range(node) for node in ast.walk(rule))
+    _assert_one_rule_spells("check_integer", ["must be >="])
+
+
+def test_one_function_spells_a_number():
+    # families.check_number is the one rule for a real number
+    _assert_one_rule_spells("check_number",
+                            ["must be a number", "must be finite"])
