@@ -37,8 +37,8 @@ import numpy as np
 from . import funcspace
 from .conjugacy import DEFAULT_GRID, conjugate
 from .errors import BadArgument
-from .families import (MapPair, check_integer, check_number, flat_interval,
-                       perturbed_flat_pair)
+from .families import (MAX_CELL, MapPair, check_integer, check_number,
+                       check_pair, flat_interval, perturbed_flat_pair)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -202,10 +202,12 @@ def oracle_quotient_enclosure(pair: MapPair, t0: float = 1.0,
     floats, each within 2^-52 of the exact orbit point, so at a depth where
     that exceeds the spacing of the orbit points a bracket can be off by a
     label.  The cost is about depth^2 / 2 steps of one vectorised walk,
-    whatever the number of scales.
+    whatever the number of scales.  A pair that ``families.check_pair``
+    refuses has no h, so raises :class:`InvalidPair`.
     """
     t0 = check_probe(t0, k_min, k_max)
     depth = check_integer("depth", depth, 0, 1074)  # an int for math.ldexp
+    check_pair(pair)
     sign = -1.0 if t0 == 1.0 else 1.0
     ks = range(k_min, k_max + 1)
     scales = np.array([2.0 ** (-float(k)) for k in ks])
@@ -350,11 +352,11 @@ def nonregular_experiment(n: int, k: int,
     Raises
     ------
     BadArgument
-        If a flat-point family cannot be built, for an index outside
-        1 .. 51, or if n == k (no contradiction derivable).
+        If n or k is not an integer in 1 .. MAX_CELL, or if n == k (no
+        contradiction derivable).
     """
     pair_n = perturbed_flat_pair(n)
-    pair_k = perturbed_flat_pair(k)
+    pair_k = perturbed_flat_pair(check_integer("k", k, 1, MAX_CELL))
     if n == k:
         raise BadArgument(f"need cells n != k, got n={n}, k={k}")
 

@@ -31,9 +31,9 @@ from . import funcspace
 # checks that its tracer wraps this import site (ROADMAP item 6)
 from .conjugacy import DEFAULT_GRID, conjugate, conjugate_to_standard  # noqa: F401
 from .errors import BadArgument, InvalidPair
-from .families import (MapPair, _grid_with_anchors, check_grid,
-                       pairs_agree_on_grid, quadratic_pair, standard_pair,
-                       validate)
+from .families import (BOUNDARY, MapPair, _grid_with_anchors, check_grid,
+                       check_pair, pairs_agree_on_grid, quadratic_pair,
+                       standard_pair, validate)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -111,26 +111,18 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
 
     If an explicitly requested target coincides with `pair` on the grid,
     only the linear solution exists: the identity is returned with
-    ``degenerate=True`` and a zero ``nonlinearity_gap``.
+    ``degenerate=True`` and a zero ``nonlinearity_gap``.  A guided pair's
+    branches still increase strictly, so it is solved as any other.
 
     Raises
     ------
     InvalidPair
-        If `pair` fails validation as a regular or quasi-regular
-        configuration (guided pairs are rejected here: the construction's
-        uniqueness argument needs strictly increasing branches), or if
-        an explicit `target` is not additive.
+        If an explicit `target` is not additive, or if
+        ``families.check_pair`` refuses `pair` or `target`.
     BadArgument
         If `grid` is outside MIN_GRID .. MAX_GRID, whichever the target.
     """
     check_grid(grid)
-    classification = validate(pair).classification
-    if classification not in ("regular", "quasi-regular"):
-        raise InvalidPair(
-            f"pair classifies as {classification!r}; "
-            "need regular or quasi-regular"
-        )
-
     if target is None:
         target = standard_pair()
         if pairs_agree_on_grid(pair, target):
@@ -138,6 +130,7 @@ def solve_nonlinear(pair: MapPair, target: MapPair | None = None,
     elif not validate(target).additivity_ok:
         raise InvalidPair("target is not additive: delta1 + delta2 != t")
     elif pairs_agree_on_grid(pair, target):
+        check_pair(pair)
         ident = funcspace.identity(17)
         return SolutionCertificate(
             solution=ident,
@@ -220,12 +213,11 @@ def induced_system(f: MonotoneFunction, pair: MapPair,
     sigma2 = MonotoneFunction(t, s2)
 
     add_dev = float(np.max(np.abs(s1 + s2 - t)))
-    bdev = {
-        "sigma1(-1)": abs(float(funcspace.evaluate(sigma1, -1.0))),
-        "sigma1(1)": abs(float(funcspace.evaluate(sigma1, 1.0)) - 1.0),
-        "sigma2(-1)": abs(float(funcspace.evaluate(sigma2, -1.0)) + 1.0),
-        "sigma2(1)": abs(float(funcspace.evaluate(sigma2, 1.0))),
-    }
+    # the nodes run from -1 to 1, so the ends of s1 and s2 are the values
+    # there, in BOUNDARY's order
+    ends = (s1[0], s1[-1], s2[0], s2[-1])
+    bdev = {key.replace("delta", "sigma"): abs(float(end) - value)
+            for (key, value), end in zip(BOUNDARY.items(), ends)}
     report = InducedSystemReport(
         additivity_max_dev=add_dev,
         additivity_ok=add_dev <= INDUCED_TOL,

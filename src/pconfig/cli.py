@@ -9,9 +9,10 @@ Subcommands
 ``nonregular``  flat-point non-isomorphism experiment
 
 Exit codes: 0 success, 1 quantitative failure, 2 usage or config error.
-Exit 1 is read off each subcommand's result (and a pair that fails
-validation in ``solve-fe``); exit 2 comes only from :func:`main`, for any
-other library error, with one ``error:`` line.
+Exit 1 is read off each subcommand's result, or is a pair that
+``families.check_pair`` refuses in a subcommand that solves; exit 2 comes
+only from :func:`main`, for any other library error.  Each refusal prints
+one ``error:`` line.
 An input file that cannot be read as UTF-8 text, and an output directory
 that cannot be created or written, are usage errors naming the path.
 
@@ -250,8 +251,8 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except PConfigError as exc:
-        # a pair that fails validation is a result; every other error is
-        # an input the command cannot run with
+        # a pair that check_pair refuses is a result; every other error
+        # is an input the command cannot run with
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, InvalidPair):
             return EXIT_QUANTITATIVE

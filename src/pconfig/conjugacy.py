@@ -35,17 +35,14 @@ label order; each node then keeps the label of one word that reaches it,
 and the labels are sorted alongside the nodes (see :func:`_orbit_labels`).
 
 The log's ``residual`` is sup |Th - h| for one :func:`contraction_step`,
-a diagnostic that nothing gates on, so :func:`conjugate` reads the target's
-h off its labelled orbit and computes no residual for it.  T's pull-back
-is solved by bisection, so on a complete grid the residual measures the
-bisection error of T, not an error of h.  Where nodes are lost it is
-several dyadic steps whether or not the sorting put a node off its own
-words' labels (quadratic(0.249) at 2^12+1: 2.3e-3, each node within one
-step of its labels; quadratic(0.2480): 2.0e-3, a node two steps off), so
-it cannot tell the two apart either.  Iterating T from the identity
-converges at ratio 1/2 to the fixed point of that bisection-perturbed T,
-which is not h: for quadratic(0.2) it lies 4.9e-10 off the labels at
-2^12+1 nodes and 8.9e-8 off at 2^16+1.
+a diagnostic that nothing gates on, so :func:`conjugate` computes none for
+the target.  T's pull-back is solved by bisection, so the residual
+measures the bisection error of T, not an error of h, and iterating T
+converges to the fixed point of that perturbed T, which is not h (the
+README gives both for quadratic(0.2)).  Where nodes are lost the residual
+is several dyadic steps whether or not a node sits off its own labels
+(quadratic(0.249) at 2^12+1: 2.3e-3, each node within one step of its
+labels; quadratic(0.2480): 2.0e-3, a node two steps off).
 """
 
 from __future__ import annotations
@@ -59,8 +56,8 @@ import numpy as np
 
 from . import funcspace
 from .errors import BadArgument
-from .families import (ANCHORS, DEFAULT_GRID, MAX_GRID, MapPair,
-                       check_branches_invertible, check_grid, check_integer)
+from .families import (ANCHORS, DEFAULT_GRID, MAX_GRID, MapPair, check_grid,
+                       check_integer, check_pair)
 from .funcspace import MonotoneFunction
 from .report import Report
 
@@ -199,12 +196,13 @@ def contraction_step(g: MonotoneFunction, pair: MapPair) -> MonotoneFunction:
     ------
     BadArgument
         If `g` does not fix -1, 0, 1 at nodes (nondecrease is guaranteed
-        by the MonotoneFunction invariant), or if a branch of `pair` is
-        flat on an interval.
+        by the MonotoneFunction invariant).
+    InvalidPair
+        If ``families.check_pair`` refuses `pair`.
     """
     if not g.fixes_anchors():
         raise BadArgument("iterate must fix -1, 0 and 1 exactly at nodes")
-    check_branches_invertible(pair)
+    check_pair(pair)
     values = _step(g, pair)
     values.setflags(write=False)
     return MonotoneFunction(g.nodes, values)
@@ -336,10 +334,8 @@ def _orbit_labels(pair: MapPair, depth: int, nodes: np.ndarray) -> np.ndarray:
 
 def _labelled_h(pair: MapPair, grid: int) -> MonotoneFunction:
     """h of `pair` read off its labelled orbit on the largest 2^d + 1
-    nodes within `grid`; the branches must be invertible."""
-    check_grid(grid)
+    nodes within `grid`; the grid and the pair must be admitted."""
     depth = int(math.floor(math.log2(grid - 1))) - 1
-    check_branches_invertible(pair)
     nodes = build_orbit_grid(pair, depth)
     labels = _orbit_labels(pair, depth, nodes)
     # the arrays are this solve's own, so h takes them without a copy
@@ -383,8 +379,8 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     Parameters
     ----------
     pair :
-        Validated map pair with strictly increasing branches (regular,
-        quasi-regular or isolated-flat-point families).
+        Map pair with strictly increasing branches (regular,
+        quasi-regular or guided with isolated flat points).
     grid :
         Node budget; the solver samples h on the orbit grid (see module
         notes), whose node count is the largest 2^d + 1 <= grid.
@@ -397,18 +393,18 @@ def conjugate_to_standard(pair: MapPair, grid: int = DEFAULT_GRID,
     Raises
     ------
     BadArgument
-        If a branch decreases or is flat on an interval.
+        If `grid` is outside MIN_GRID .. MAX_GRID.
+    InvalidPair
+        If ``families.check_pair`` refuses `pair`.
     """
+    check_grid(grid)
+    check_pair(pair)
     h = _labelled_h(pair, grid)
     # T's bisection pull-back is most of this solve's time (0.42-0.43 s of
-    # 0.57-0.60 s for quadratic(0.2) at 2^20+1 nodes, medians of 5 in two
-    # rounds, 2-core Xeon VM) and serves only the residual.  It stays, in
-    # the source solve of `conjugate` too, because perfbench pins it:
-    # test_spans.py asserts 100 evaluations per node and
-    # DeepSolve.required names the conjugacy.pullback and conjugacy.solve
-    # spans (ROADMAP items 6 and 7).
-    # `_labelled_h` has checked the branches and h fixes the anchors, so T
-    # is applied without contraction_step's checks
+    # 0.57-0.60 s for quadratic(0.2) at 2^20+1 nodes, 2-core Xeon VM) and
+    # serves only the residual; perfbench pins it (ROADMAP items 6 and 7).
+    # The pair is admitted and h fixes the anchors, so T is applied
+    # without contraction_step's checks
     log = ConvergenceLog(
         residual=float(np.max(np.abs(_step(h, pair) - h.values))),
         grid=int(h.grid_size),
@@ -434,8 +430,13 @@ def conjugate(source: MapPair, target: MapPair, grid: int = DEFAULT_GRID,
     Raises
     ------
     BadArgument
-        If a branch of either pair decreases or is flat on an interval.
+        If `grid` is outside MIN_GRID .. MAX_GRID.
+    InvalidPair
+        If ``families.check_pair`` refuses either pair; each is admitted
+        once, a non-standard target before the source is solved.
     """
+    if target.family != "standard":
+        check_pair(target)
     h, log = conjugate_to_standard(source, grid=grid)
     if target.family != "standard":
         h = funcspace.compose(funcspace.invert(_labelled_h(target, grid)), h)

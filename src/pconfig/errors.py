@@ -4,8 +4,9 @@ Every input a function cannot accept, whether an argument out of range, a
 malformed descriptor, sampled values or h.csv text, a point outside
 [-1, 1] or a function that lacks the property a call needs, raises
 :class:`BadArgument`, also a ``ValueError`` as in Python's own functions.
-The one refusal that is a result is :class:`InvalidPair`: a pair that is
-not regular or quasi-regular yields no solution.  Both derive from
+The one refusal that is a result is :class:`InvalidPair`: a pair that
+``families.check_pair`` refuses, for a branch without an inverse or a
+failed axiom, has no conjugation.  Both derive from
 :class:`PConfigError`, so callers can catch either with one clause.
 Validation of map pairs does *not* raise: an invalid configuration is a
 legitimate result (classification ``"invalid"``), not an error.  Nor do
@@ -24,4 +25,4 @@ class BadArgument(PConfigError, ValueError):
 
 
 class InvalidPair(PConfigError):
-    """Map pair failed validation and cannot be used for solution building."""
+    """A map pair that check_pair refuses: it has no conjugation."""

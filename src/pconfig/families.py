@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import BadArgument
+from .errors import BadArgument, InvalidPair
 from .report import Report
 
 ANCHORS = (-1.0, 0.0, 1.0)
@@ -55,6 +55,11 @@ FLAT_TOL = 1e-8
 #: Tolerance for exact-identity axiom checks on closed forms.
 AXIOM_TOL = 1e-12
 
+#: The boundary pattern, each branch's value at -1 and 1, which
+#: :func:`validate` checks and the induced system of a solution keeps.
+BOUNDARY = {"delta1(-1)": 0.0, "delta1(1)": 1.0,
+            "delta2(-1)": -1.0, "delta2(1)": 0.0}
+
 #: The grid that validation, the solver and the command line use unless
 #: told otherwise, 2^12 + 1.
 DEFAULT_GRID = 4097
@@ -64,6 +69,10 @@ DEFAULT_GRID = 4097
 #: peaks at 121 MB and at 2^22 + 1 at 352 MB (solve_nonlinear, quadratic).
 MIN_GRID = 257
 MAX_GRID = 2**24 + 1
+
+#: The deepest flat cell J_n: from n = 52 on, the flat point
+#: 1 - 3 2^-(n+2) needs a bit below the spacing of the floats near 1.
+MAX_CELL = 51
 
 
 def check_integer(name: str, value, lo=None, hi=None) -> int:
@@ -234,9 +243,8 @@ _PSI_PLATEAU = 0.5             # p
 
 def perturbed_flat_pair(n: int) -> MapPair:
     """The pair whose delta1' vanishes at one point, strictly inside J_n,
-    for an integer n in 1 .. 51: from n = 52 on, that point 1 - 3 2^-(n+2)
-    needs a bit below the spacing of the floats near 1."""
-    n = check_integer("n", n, 1, 51)
+    for an integer n in 1 .. MAX_CELL."""
+    n = check_integer("n", n, 1, MAX_CELL)
     left, right = flat_interval(n)
     width = right - left
     lam = left + width / 2.0     # the single flat point
@@ -303,25 +311,13 @@ def perturbed_flat_pair(n: int) -> MapPair:
             out[inside] = 0.5 - phi / 2 + m * psi
         return out
 
-    def d1(t):
-        return on_cell(t, integral=True)
-
-    def d1p(t):
-        return on_cell(t, integral=False)
-
-    def d2(t):
-        return np.asarray(t, dtype=float) - d1(t)
-
-    def d2p(t):
-        return 1.0 - d1p(t)
-
     return MapPair(
         family="perturbed_flat",
         params={"n": n},
-        delta1=d1,
-        delta2=d2,
-        d_delta1=d1p,
-        d_delta2=d2p,
+        delta1=lambda t: on_cell(t, True),
+        delta2=lambda t: np.asarray(t, dtype=float) - on_cell(t, True),
+        d_delta1=lambda t: on_cell(t, False),
+        d_delta2=lambda t: 1.0 - on_cell(t, False),
         flat_points=(lam,),
     )
 
@@ -360,7 +356,7 @@ def build_family(spec) -> MapPair:
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
-        except ValueError as exc:  # also integers beyond the digit limit
+        except (ValueError, RecursionError) as exc:  # long ints, deep nests
             raise BadArgument(f"descriptor is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
         raise BadArgument(
@@ -395,7 +391,7 @@ class SetApprox(Report):
 
     ``intervals`` are maximal closed grid intervals on which the derivative
     stays below the flatness tolerance, pairwise disjoint and sorted;
-    ``singleton_flags`` marks intervals no wider than two grid steps; and
+    ``singleton_flags`` marks intervals no wider than one grid step; and
     ``exact_points`` carries analytically known flat points, if the family
     provides them.
     """
@@ -451,28 +447,6 @@ def _grid_with_anchors(grid: int) -> np.ndarray:
     return t if t[mid] == 0.0 else np.insert(t, mid, 0.0)
 
 
-def check_branches_invertible(pair: MapPair):
-    """Reject pairs whose branches have no inverse.
-
-    Isolated flat points are fine; a derivative below -AXIOM_TOL, or a run
-    of more than two consecutive grid points with derivative <= AXIOM_TOL,
-    is not.
-
-    Raises
-    ------
-    BadArgument
-        Naming the branch that decreases or is flat on an interval.
-    """
-    t = np.linspace(-1.0, 1.0, DEFAULT_GRID)
-    for name, d in (("delta1", pair.d_delta1), ("delta2", pair.d_delta2)):
-        dv = np.asarray(d(t))
-        if np.min(dv) < -AXIOM_TOL:
-            raise BadArgument(f"{name} is decreasing somewhere")
-        if any(r.size > 2 for r in _runs(dv <= AXIOM_TOL)):
-            raise BadArgument(
-                f"{name} is flat on an interval; branch not invertible")
-
-
 def validate(pair: MapPair, grid: int = DEFAULT_GRID,
              ) -> ValidationReport:
     """Check the configuration axioms to AXIOM_TOL and classify the pair,
@@ -480,7 +454,7 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
 
     The boundary values are the samples at the anchors.  Each guiding set
     holds the maximal runs of samples with derivative <= FLAT_TOL, flagged
-    as singletons when at most two grid steps wide (grid-level resolution
+    as singletons when at most one grid step wide (grid-level resolution
     is the honest claim), and the flat-point family's known zero.  A pair
     failing the derivative-sign or boundary check is ``invalid``;
     otherwise, with empty guiding sets it is ``regular`` if additive and
@@ -496,26 +470,16 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
     dmin1, dmin2 = float(np.min(d1v)), float(np.min(d2v))
     derivative_ok = dmin1 >= -AXIOM_TOL and dmin2 >= -AXIOM_TOL
 
-    lo, mid, hi = np.searchsorted(t, ANCHORS)
-    b = {
-        "delta1(-1)": float(v1[lo]),
-        "delta1(0)": float(v1[mid]),
-        "delta1(1)": float(v1[hi]),
-        "delta2(-1)": float(v2[lo]),
-        "delta2(0)": float(v2[mid]),
-        "delta2(1)": float(v2[hi]),
-    }
-    boundary_ok = (
-        abs(b["delta2(-1)"] + 1.0) <= AXIOM_TOL
-        and abs(b["delta2(1)"]) <= AXIOM_TOL
-        and abs(b["delta1(-1)"]) <= AXIOM_TOL
-        and abs(b["delta1(1)"] - 1.0) <= AXIOM_TOL
-    )
+    where = np.searchsorted(t, ANCHORS)
+    b = {f"delta{i}({a:g})": float(v[j]) for i, v in ((1, v1), (2, v2))
+         for a, j in zip(ANCHORS, where)}
+    boundary_ok = all(abs(b[key] - value) <= AXIOM_TOL
+                      for key, value in BOUNDARY.items())
 
     g1, g2 = (
         SetApprox(
             intervals=tuple((float(t[r[0]]), float(t[r[-1]])) for r in runs),
-            singleton_flags=tuple(bool(r.size <= 3) for r in runs),
+            singleton_flags=tuple(bool(r.size <= 2) for r in runs),
             exact_points=tuple(exact),
         )
         for runs, exact in ((_runs(d1v <= FLAT_TOL), pair.flat_points),
@@ -546,3 +510,24 @@ def validate(pair: MapPair, grid: int = DEFAULT_GRID,
         guiding_set_2=g2,
         classification=classification,
     )
+
+
+def check_pair(pair: MapPair) -> ValidationReport:
+    """The :func:`validate` report of a pair that a solve, a step of T or
+    the endpoint enclosure may read; :class:`InvalidPair` naming a branch
+    that decreases or is flat beyond a singleton, so has no inverse, or
+    else the axiom an invalid pair fails."""
+    report = validate(pair)
+    for name, dmin, guiding in (
+            ("delta1", report.derivative_min_1, report.guiding_set_1),
+            ("delta2", report.derivative_min_2, report.guiding_set_2)):
+        if dmin < -AXIOM_TOL:
+            raise InvalidPair(f"{name} is decreasing somewhere")
+        if not all(guiding.singleton_flags):
+            raise InvalidPair(
+                f"{name} is flat on an interval; branch not invertible")
+    if report.classification == "invalid":
+        axiom = ("boundary pattern fails" if not report.boundary_ok
+                 else "guided but not additive")
+        raise InvalidPair(f"pair classifies as 'invalid': {axiom}")
+    return report

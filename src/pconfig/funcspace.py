@@ -52,8 +52,8 @@ class MonotoneFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = _read_only(self.nodes)
-        values = _read_only(self.values)
+        nodes = _read_only("nodes", self.nodes)
+        values = _read_only("values", self.values)
         if nodes.ndim != 1 or values.ndim != 1 or nodes.size != values.size:
             raise BadArgument(
                 "nodes and values must be 1-d arrays of equal length")
@@ -110,13 +110,27 @@ class MonotoneFunction:
         return f"MonotoneFunction({self.grid_size} nodes)"
 
 
-def _read_only(samples) -> np.ndarray:
-    """`samples` as a float array no caller can write: a read-only float
-    array as it is, anything else copied and made read-only."""
+def _floats(name: str, samples) -> np.ndarray:
+    """`samples`, the argument `name`, as a float array; :class:`BadArgument`
+    unless numpy reads it as integers or floats, not text, bools or objects."""
+    try:
+        arr = np.asarray(samples)
+    except ValueError as exc:  # nested sequences of unequal lengths
+        raise BadArgument(f"{name} is not an array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise BadArgument(
+            f"{name} must hold integers or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _read_only(name: str, samples) -> np.ndarray:
+    """`samples`, the argument `name`, as a float array no caller can
+    write: a read-only float array as it is, anything else copied and made
+    read-only."""
     if (isinstance(samples, np.ndarray) and samples.dtype == float
             and not samples.flags.writeable):
         return samples
-    arr = np.array(samples, dtype=float)
+    arr = np.array(_floats(name, samples))
     arr.setflags(write=False)
     return arr
 
@@ -136,9 +150,10 @@ def evaluate(f: MonotoneFunction, t):
     Raises
     ------
     BadArgument
-        If any evaluation point lies outside [-1, 1] or is NaN.
+        If `t` holds text, bools or objects, or if any evaluation point
+        lies outside [-1, 1] or is NaN.
     """
-    arr = np.asarray(t, dtype=float)
+    arr = _floats("evaluation points", t)
     # comparisons with NaN are false, so a NaN fails both
     if not (np.all(arr >= DOMAIN_LEFT) and np.all(arr <= DOMAIN_RIGHT)):
         raise BadArgument(f"evaluation point outside [-1, 1]: {t!r}")

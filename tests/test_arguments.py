@@ -9,6 +9,7 @@ import pytest
 
 from pconfig import (
     BadArgument,
+    InvalidPair,
     MonotoneFunction,
     PConfigError,
     build_family,
@@ -36,9 +37,11 @@ from pconfig.families import MAX_GRID
 
 QUAD = quadratic_pair(0.2)
 H = identity(4097)
-# the standard maps with a first derivative that vanishes everywhere
+# the standard maps with a first derivative that vanishes everywhere, under
+# a name of its own: conjugate reads no maps of a target named standard
 FLAT = dataclasses.replace(
-    standard_pair(), d_delta1=lambda t: np.zeros_like(t, dtype=float))
+    standard_pair(), family="flat",
+    d_delta1=lambda t: np.zeros_like(t, dtype=float))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -123,7 +126,6 @@ FLAT = dataclasses.replace(
                               QUAD), "iterate must fix -1, 0 and 1"),
     (lambda: difference_quotients(identity(257), 1.0, 4, 8),
      "below grid resolution"),
-    (lambda: conjugate_to_standard(FLAT), "delta1 is flat on an interval"),
     (lambda: build_family({"family": "cubic"}), "unknown family 'cubic'"),
     (lambda: build_family("[1, 2]"), "descriptor must be a dict, got list"),
     (lambda: build_family(3), "descriptor must be a dict, got int"),
@@ -177,6 +179,27 @@ FLAT = dataclasses.replace(
     (lambda: nonregular_experiment(-10 ** 5000, 1),
      "n must be >= 1 and <= 51, got a negative integer of 16610 bits$"),
     (lambda: nonregular_experiment("a", 2), "n must be an integer, got 'a'$"),
+    # the second cell is named as k
+    (lambda: nonregular_experiment(2, 0), "k must be >= 1 and <= 51, got 0$"),
+    (lambda: nonregular_experiment(2, 52),
+     "k must be >= 1 and <= 51, got 52$"),
+    # sample arrays and evaluation points hold integers or floats
+    (lambda: MonotoneFunction(["-1", "1"], ["-1", "1"]),
+     "nodes must hold integers or floats, got dtype <U2$"),
+    (lambda: MonotoneFunction([-1.0, 1.0], [False, True]),
+     "values must hold integers or floats, got dtype bool$"),
+    (lambda: MonotoneFunction([-1.0, 1.0], [-1, 10 ** 5000]),
+     "values must hold integers or floats, got dtype object$"),
+    (lambda: MonotoneFunction([[-1.0], [0.0, 1.0]], [-1.0, 1.0]),
+     "nodes is not an array: "),
+    (lambda: evaluate(H, "0.5"),
+     "evaluation points must hold integers or floats, got dtype <U3$"),
+    (lambda: evaluate(H, True),
+     "evaluation points must hold integers or floats, got dtype bool$"),
+    (lambda: evaluate(H, [0.5, None]),
+     "evaluation points must hold integers or floats, got dtype object$"),
+    # nesting deeper than the JSON parser recurses
+    (lambda: build_family("[" * 100000), "descriptor is not valid JSON: "),
 ], ids=["validate", "validate-ceiling", "fe-residual",
         "solve-nonlinear", "conjugate-to-standard", "conjugate",
         "probe-t0", "probe-one-scale", "probe-k0", "probe-float-ceiling",
@@ -194,7 +217,7 @@ FLAT = dataclasses.replace(
         "enclosure-bool-depth", "orbit-grid-float", "labelled-orbit-float",
         "orbit-grid-ceiling", "labelled-orbit-ceiling", "orbit-grid-huge",
         "plateau", "outside-domain", "unpinned", "scale-below-grid",
-        "flat-branch", "bad-descriptor", "list-descriptor", "int-descriptor",
+        "bad-descriptor", "list-descriptor", "int-descriptor",
         "2d-samples", "unequal-samples", "decreasing-samples",
         "bad-csv-line", "dyadic-ceiling", "dyadic-huge", "dyadic-past-digits",
         "validate-past-digits", "validate-negative-past-digits",
@@ -204,12 +227,42 @@ FLAT = dataclasses.replace(
         "descriptor-text-c", "descriptor-text-coefficient",
         "quadratic-numpy-bool", "quadratic-list-past-digits", "probe-bool-t0",
         "enclosure-bool-t0", "probe-past-digits", "experiment-past-digits",
-        "experiment-negative-past-digits", "experiment-text"])
+        "experiment-negative-past-digits", "experiment-text",
+        "experiment-k-zero", "experiment-k-ceiling", "text-samples",
+        "bool-samples", "object-samples", "ragged-samples", "text-point",
+        "bool-point", "object-point", "deep-descriptor"])
 def test_each_refusal_is_a_bad_argument(call, message, address_space_cap):
     with pytest.raises(BadArgument, match=message) as info:
         call()
     assert isinstance(info.value, PConfigError)
     assert isinstance(info.value, ValueError)
+
+
+# a polynomial pair whose branches increase but whose delta1(-1) is -0.01
+BAD_BOUNDARY = build_family({"family": "polynomial",
+                             "delta1": [0.5, 0.5, -0.01]})
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair: conjugate_to_standard(pair),
+    lambda pair: conjugate(pair, standard_pair()),
+    lambda pair: conjugate(QUAD, pair),
+    lambda pair: contraction_step(identity(257), pair),
+    lambda pair: oracle_quotient_enclosure(pair),
+], ids=["conjugate-to-standard", "conjugate-source", "conjugate-target",
+        "contraction-step", "enclosure"])
+@pytest.mark.parametrize("pair, message", [
+    (BAD_BOUNDARY, "pair classifies as 'invalid': boundary pattern fails$"),
+    (quadratic_pair(0.3), "delta1 is decreasing somewhere$"),
+    (FLAT, "delta1 is flat on an interval; branch not invertible$"),
+], ids=["bad-boundary", "quadratic(0.3)", "flat-branch"])
+def test_each_refused_pair_is_an_invalid_pair(call, pair, message):
+    # families.check_pair admits every pair a solve, a step of T or the
+    # endpoint enclosure reads
+    with pytest.raises(InvalidPair, match=message) as info:
+        call(pair)
+    assert isinstance(info.value, PConfigError)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_numpy_integers_are_integers():

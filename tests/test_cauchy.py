@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pconfig import cauchy
+from pconfig import cauchy, families
 from pconfig import (
     BadArgument,
     InvalidPair,
@@ -121,10 +121,23 @@ def test_solve_checks_the_grid_for_every_target(quad02, target, grid):
 
 
 def test_solve_rejects_invalid_pair(pf2):
-    # invalid (c = 0.3) and guided (c = 0.25, flat-point) pairs alike
-    for pair in (quadratic_pair(0.3), quadratic_pair(0.25), pf2):
-        with pytest.raises(InvalidPair):
-            solve_nonlinear(pair, grid=1025)
+    # an invalid pair (c = 0.3) is refused, also as its own target; guided
+    # pairs (c = 0.25, flat-point) are solved, since their branches still
+    # increase strictly
+    c03 = quadratic_pair(0.3)
+    for target in (None, c03):
+        with pytest.raises(InvalidPair, match="delta1 is decreasing"):
+            solve_nonlinear(c03, target=target, grid=1025)
+    for pair in (quadratic_pair(0.25), pf2):
+        assert solve_nonlinear(pair, grid=1025).nonlinearity_gap > 0.0
+
+
+def test_solve_guided_pair_passes_the_command_line_gate(pf2):
+    # the gate `solve-fe` exits 0 on
+    cert = solve_nonlinear(pf2)
+    bound = 10.0 * cert.solution.max_local_variation
+    assert cert.fe_residual <= max(bound, 1e-12)
+    assert cert.nonlinearity_gap > 0.0
 
 
 def test_solve_accepts_quasi_pair(monkeypatch):
@@ -139,7 +152,9 @@ def test_solve_accepts_quasi_pair(monkeypatch):
         calls.append(pair)
         return validate(pair, **kwargs)
 
-    monkeypatch.setattr(cauchy, "validate", counted)
+    # one validation, the admission of the pair; the default target is the
+    # standard pair, which needs none
+    monkeypatch.setattr(families, "validate", counted)
     cert = solve_nonlinear(quasi, grid=1025)
     assert calls == [quasi]
     assert cert.fe_residual <= 1e-2

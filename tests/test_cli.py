@@ -71,6 +71,17 @@ def test_validate_unknown_family_exits_two(tmp_path):
     assert run(["validate", "--config", cfg]) == 2
 
 
+def test_validate_deep_descriptor_exits_two(tmp_path, capsys):
+    # nesting deeper than the JSON parser recurses
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100000)
+    assert run(["validate", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: descriptor is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("spec", [
     '{"family": "perturbed_flat", "n": 1%s}',
     '{"family": "quadratic", "c": 1%s}',
@@ -140,24 +151,25 @@ def test_conjugate_standard_to_itself_is_identity(std_config, tmp_path):
     assert np.max(np.abs(h.values - h.nodes)) <= 1e-12
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--config", "{c03}"], "delta1 is decreasing somewhere"),
-    (["--config", "{quad}", "--target", "quadratic:0.3"],
+@pytest.mark.parametrize("args, code, message", [
+    # a pair that check_pair refuses is a result, exit 1
+    (["--config", "{c03}"], 1, "delta1 is decreasing somewhere"),
+    (["--config", "{quad}", "--target", "quadratic:0.3"], 1,
      "delta1 is decreasing somewhere"),
-    (["--config", "{nan}"], "quadratic: c must be finite, got nan"),
-    (["--config", "{quad}", "--target", "quadratic:nan"],
+    (["--config", "{nan}"], 2, "quadratic: c must be finite, got nan"),
+    (["--config", "{quad}", "--target", "quadratic:nan"], 2,
      "quadratic: c must be finite, got nan"),
-    (["--config", "{std_c}"],
+    (["--config", "{std_c}"], 2,
      "standard: standard_pair() got an unexpected keyword argument 'c'"),
-    (["--config", "{poly_nan}"],
+    (["--config", "{poly_nan}"], 2,
      "polynomial: delta1[2] must be finite, got nan"),
-    (["--config", "{poly_inf}"],
+    (["--config", "{poly_inf}"], 2,
      "polynomial: delta1[2] must be finite, got inf"),
     # --target reads c by float(), as --t0 is read
-    (["--config", "{quad}", "--target", "quadratic:abc"],
+    (["--config", "{quad}", "--target", "quadratic:abc"], 2,
      "--target expects quadratic:<c>, got 'quadratic:abc'"),
 ])
-def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
+def test_conjugate_bad_pair_names_the_fault(args, code, message, quad_config,
                                             tmp_path, capsys):
     configs = {"c03": {"family": "quadratic", "c": 0.3},
                "std_c": {"family": "standard", "c": 1},
@@ -173,8 +185,7 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     paths = {name: tmp_path / f"{name}.json" for name in configs}
     args = [a.format(quad=quad_config, **paths) for a in args]
     out = tmp_path / "out"
-    code = run(["conjugate", *args, "--grid", 1025, "--out", out])
-    assert code == 2
+    assert run(["conjugate", *args, "--grid", 1025, "--out", out]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
     # no file written; a pair refused on loading leaves no directory either
     assert not list(out.glob("*"))
@@ -188,9 +199,8 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     ["probe", "--config", "{bad}"],
     ["probe", "--h-csv", "{missing}"],
     ["nonregular", "--n", "2", "--k", "2"],
-    # refused after the inputs load: a decreasing branch, a scale below
-    # the grid and a cell without an interior float
-    ["conjugate", "--config", "{c03}"],
+    # refused after the inputs load: a scale below the grid and a cell
+    # without an interior float
     ["probe", "--h-csv", "{coarse}", "--scales", "8:13"],
     ["nonregular", "--n", "52"],
     # refused by the library's argument checks: a grid no memory holds,
@@ -210,7 +220,7 @@ def test_conjugate_bad_pair_names_the_fault(args, message, quad_config,
     ["probe", "--h-csv", "{coarse}", "--scales", "4-10"],
     ["probe", "--h-csv", "{coarse}", "--scales", "a:b"],
 ], ids=["validate", "conjugate", "conjugate-target", "solve-fe", "probe",
-        "probe-h-csv", "nonregular", "conjugate-c03", "probe-scales",
+        "probe-h-csv", "nonregular", "probe-scales",
         "nonregular-n52", "validate-huge-grid", "conjugate-huge-grid",
         "solve-fe-huge-grid", "probe-huge-grid", "nonregular-huge-grid",
         "probe-t0", "probe-one-scale", "probe-huge-scales",
@@ -221,11 +231,9 @@ def test_refused_input_leaves_no_output_directory(argv, quad_config,
     from pconfig import funcspace
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "quadratic", "c": "nan"}))
-    c03 = tmp_path / "c03.json"
-    c03.write_text(json.dumps({"family": "quadratic", "c": 0.3}))
     coarse = tmp_path / "coarse.csv"
     coarse.write_text(funcspace.to_csv(funcspace.identity(257)))
-    argv = [a.format(bad=bad, quad=quad_config, c03=c03, coarse=coarse,
+    argv = [a.format(bad=bad, quad=quad_config, coarse=coarse,
                      missing=tmp_path / "missing.csv") for a in argv]
     out = tmp_path / "fresh" / "out"
     # a --grid in argv comes later and wins
@@ -314,8 +322,7 @@ def test_solve_fe_degenerate_exits_one(std_config, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--config", "{c03}"],
-     "pair classifies as 'invalid'; need regular or quasi-regular"),
+    (["--config", "{c03}"], "delta1 is decreasing somewhere"),
     (["--config", "{quad}", "--target", "{quasi}"],
      "target is not additive: delta1 + delta2 != t"),
 ], ids=["invalid-source", "quasi-target"])
@@ -332,6 +339,29 @@ def test_solve_fe_refused_pair_exits_one(argv, message, quad_config,
     assert run(["solve-fe", *argv, "--grid", 1025, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--config", "{pair}"],
+    ["conjugate", "--config", "{quad}", "--target", "{pair}"],
+    ["probe", "--config", "{pair}"],
+    ["solve-fe", "--config", "{pair}"],
+], ids=["conjugate", "conjugate-target", "probe", "solve-fe"])
+@pytest.mark.parametrize("descriptor, message", [
+    # branches that increase, but delta1(-1) = -0.01
+    ({"family": "polynomial", "delta1": [0.5, 0.5, -0.01]},
+     "pair classifies as 'invalid': boundary pattern fails"),
+    ({"family": "quadratic", "c": 0.3}, "delta1 is decreasing somewhere"),
+], ids=["bad-boundary", "quadratic(0.3)"])
+def test_every_solving_command_refuses_an_invalid_pair(
+        argv, descriptor, message, quad_config, tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(descriptor))
+    argv = [a.format(pair=pair, quad=quad_config) for a in argv]
+    out = tmp_path / "fresh" / "out"
+    assert run([*argv, "--grid", 1025, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "fresh").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +514,13 @@ def test_nonregular_cell_without_interior_float_exits_two(tmp_path, capsys):
     assert not (tmp_path / "experiment.json").exists()
 
 
+def test_nonregular_names_the_second_cell(tmp_path, capsys):
+    assert run(["nonregular", "--k", 52, "--out", tmp_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: k must be >= 1 and <= 51, got 52\n")
+    assert not (tmp_path / "experiment.json").exists()
+
+
 def test_nonregular_integer_beyond_float_exits_two(tmp_path, capsys):
     assert run(["nonregular", "--n", "1" + "0" * 400, "--out", tmp_path]) == 2
     assert capsys.readouterr().err == (
@@ -585,9 +622,11 @@ def test_readme_error_examples_reproduce(tmp_path, monkeypatch, capsys):
     for text, name in re.findall(r"^(?:\$ )?echo '(.*)' > (\S+)$", readme,
                                  re.MULTILINE):
         Path(name).write_text(text + "\n")
-    examples = re.findall(r"^\$ pconfig (.*)\n(error: .*)$", readme,
-                          re.MULTILINE)
+    # an example that does not exit 2 shows its exit code by `echo $?`
+    examples = re.findall(
+        r"^\$ pconfig (.*)\n(error: .*)\n(?:\$ echo \$\?\n(\d)$)?", readme,
+        re.MULTILINE)
     assert examples
-    for command, expected in examples:
-        assert main(shlex.split(command)) == 2, command
+    for command, expected, code in examples:
+        assert main(shlex.split(command)) == int(code or 2), command
         assert capsys.readouterr().err == expected + "\n", command

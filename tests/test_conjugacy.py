@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pconfig import (
     BadArgument,
     BranchInverse,
+    InvalidPair,
     MapPair,
     MonotoneFunction,
     build_family,
@@ -160,9 +161,9 @@ def test_step_rejects_interval_flat_branch():
         delta1=d1, delta2=lambda t: np.asarray(t, dtype=float) - d1(t),
         d_delta1=d1p, d_delta2=lambda t: 1.0 - d1p(t),
     )
-    with pytest.raises(BadArgument, match="delta1 is flat on an interval"):
+    with pytest.raises(InvalidPair, match="delta1 is flat on an interval"):
         contraction_step(identity(257), flat)
-    with pytest.raises(BadArgument, match="delta1 is flat on an interval"):
+    with pytest.raises(InvalidPair, match="delta1 is flat on an interval"):
         conjugate_to_standard(flat)
 
 
@@ -668,29 +669,55 @@ def test_solver_names_a_decreasing_branch(monkeypatch):
     walked = []
     monkeypatch.setattr(conjugacy, "labelled_orbit",
                         lambda pair, depth: walked.append(pair))
-    with pytest.raises(BadArgument,
+    with pytest.raises(InvalidPair,
                        match="delta1 is decreasing somewhere") as raised:
         conjugate_to_standard(quadratic_pair(0.3))
     assert str(raised.value) == "delta1 is decreasing somewhere"
     assert walked == []
 
 
-def test_solver_checks_the_branches_once(monkeypatch):
-    # `_labelled_h` checks them, and the residual's step of T does not
-    # check them again
+def test_bad_target_is_refused_before_any_orbit_walk(monkeypatch):
+    # the target is admitted before the source is solved
     from pconfig import conjugacy
-    check = conjugacy.check_branches_invertible
+    walked = []
+    monkeypatch.setattr(conjugacy, "labelled_orbit",
+                        lambda pair, depth: walked.append(pair))
+    with pytest.raises(InvalidPair, match="delta1 is decreasing somewhere"):
+        conjugate(quadratic_pair(0.2), quadratic_pair(0.3))
+    assert walked == []
+
+
+def _spy_on_check_pair(monkeypatch):
+    from pconfig import conjugacy
+    check = conjugacy.check_pair
     checked = []
 
     def spy(pair):
         checked.append(pair)
         return check(pair)
 
-    monkeypatch.setattr(conjugacy, "check_branches_invertible", spy)
+    monkeypatch.setattr(conjugacy, "check_pair", spy)
+    return checked
+
+
+def test_solver_checks_the_branches_once(monkeypatch):
+    # `conjugate_to_standard` admits the pair, and the residual's step of
+    # T does not admit it again
+    checked = _spy_on_check_pair(monkeypatch)
     for pair in (quadratic_pair(0.2), perturbed_flat_pair(2)):
         checked.clear()
         conjugate_to_standard(pair, grid=4097)
         assert checked == [pair]
+
+
+@pytest.mark.parametrize("target", [standard_pair(), quadratic_pair(-0.2)],
+                         ids=["standard", "quadratic(-0.2)"])
+def test_conjugate_admits_each_pair_once(monkeypatch, quad02, target):
+    # the standard target needs no admission
+    checked = _spy_on_check_pair(monkeypatch)
+    conjugate(quad02, target, grid=1025)
+    assert checked == ([quad02] if target.family == "standard"
+                       else [target, quad02])
 
 
 # ---------------------------------------------------------------------------

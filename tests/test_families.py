@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from pconfig import (
     BadArgument,
+    InvalidPair,
     MapPair,
     build_family,
     flat_interval,
@@ -19,8 +20,7 @@ from pconfig import (
     standard_pair,
     validate,
 )
-from pconfig.families import (ANCHORS, _grid_with_anchors,
-                              check_branches_invertible)
+from pconfig.families import ANCHORS, _grid_with_anchors, check_pair
 
 GRID = np.linspace(-1.0, 1.0, 2001)
 
@@ -290,7 +290,7 @@ def test_guiding_sets_standard_empty():
 
 def _with_derivatives(d1p, d2p):
     """A pair given by its branch derivatives, which is all that the
-    guiding sets and the invertibility check read; its branches are the
+    guiding sets and the derivative check read; its branches are the
     standard pair's, so that validation has maps to sample."""
     std = standard_pair()
     return MapPair(family="custom", params={}, delta1=std.delta1,
@@ -313,29 +313,29 @@ def test_flat_runs_guiding_sets_and_invertibility():
     g1, g2 = rep.guiding_set_1, rep.guiding_set_2
     assert g1.intervals == ((0.5, 0.5 + step),) and g1.singleton_flags == (True,)
     assert g2.is_empty
-    check_branches_invertible(two)
-    # three grid points: still a singleton, but flat on an interval
+    assert check_pair(two) == rep
+    # three grid points: an interval, flat beyond one grid step
     three = _flat_on(0.5, 0.5 + 2 * step)
-    assert validate(three).guiding_set_1.singleton_flags == (True,)
-    with pytest.raises(BadArgument, match="delta1 is flat"):
-        check_branches_invertible(three)
+    assert validate(three).guiding_set_1.singleton_flags == (False,)
+    with pytest.raises(InvalidPair, match="delta1 is flat"):
+        check_pair(three)
     # four grid points: an interval
     four = _flat_on(0.5, 0.5 + 3 * step)
     assert validate(four).guiding_set_1.singleton_flags == (False,)
     # isolated flat points of the built-in families
     for p in (quadratic_pair(0.25), perturbed_flat_pair(2)):
-        check_branches_invertible(p)
+        assert check_pair(p).classification == "guided"
 
 
 def test_decreasing_branch_is_not_invertible():
-    with pytest.raises(BadArgument,
+    with pytest.raises(InvalidPair,
                        match="delta1 is decreasing somewhere"):
-        check_branches_invertible(quadratic_pair(0.3))
+        check_pair(quadratic_pair(0.3))
     only_2 = _with_derivatives(lambda t: np.full_like(t, 0.5),
                                lambda t: 0.5 - np.asarray(t))
-    with pytest.raises(BadArgument,
+    with pytest.raises(InvalidPair,
                        match="delta2 is decreasing somewhere"):
-        check_branches_invertible(only_2)
+        check_pair(only_2)
 
 
 def _lattice(rep):

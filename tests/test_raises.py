@@ -1,8 +1,10 @@
 """The package has one refusal type: every input a function cannot accept
 raises ``BadArgument``, and a pair that yields no solution
 ``InvalidPair``.  ``errors.py`` alone defines exception classes, and
-``families.check_integer`` alone spells an integer range, and
-``families.check_number`` alone a real number.
+``families.check_integer`` alone spells an integer range,
+``families.check_number`` alone a real number, and ``families.check_pair``
+alone a pair's refusal, from the derivatives that ``families.validate``
+alone samples.
 """
 
 import ast
@@ -100,3 +102,29 @@ def test_one_function_spells_a_number():
     # families.check_number is the one rule for a real number
     _assert_one_rule_spells("check_number",
                             ["must be a number", "must be finite"])
+
+
+def test_one_function_spells_a_pair_refusal():
+    # families.check_pair is the one admission rule for a pair
+    _assert_one_rule_spells("check_pair", ["is decreasing somewhere",
+                                           "is flat on an interval"])
+
+
+def test_only_validate_samples_the_derivatives():
+    # a second sampler of delta' would be a second flatness rule
+    derivatives = {"d_delta1", "d_delta2"}
+    modules = _modules()
+    validate = next(node for node in ast.walk(modules["families.py"])
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "validate")
+    inside = {id(node) for node in ast.walk(validate)}
+    read = [
+        f"{name}:{node.lineno}: .{node.attr}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in derivatives
+        and id(node) not in inside
+    ]
+    assert read == []
+    assert {node.attr for node in ast.walk(validate)
+            if isinstance(node, ast.Attribute)} >= derivatives
